@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .convergence_lab import (
-    LimitReport,
     MeasureFamily,
     RealSequence,
     SetFamily,
@@ -35,9 +34,10 @@ from .convergence_lab import (
     singleton_family,
     table_family,
     tightness_probe,
+    verify_theorem,
     weak_limit_identify,
 )
-from .errors import LimitGapError, NRangeError
+from .errors import LimitGapError
 from .event_dsl import parse_event, print_event
 from .extended_line import compactify_measure, h, saturating_float
 from .measure_core import (
@@ -70,127 +70,39 @@ _TEST_FUNCTIONS: dict[str, Callable] = {
 
 
 # ---------------------------------------------------------------------------
-# the end-to-end walkthrough
-
-
-@dataclass(frozen=True, slots=True)
-class TheoremRow:
-    n: int
-    last_flip_zero: Fraction  # P(X_N == 0)
-    split_below: Fraction  # P(X_N == 0 and Z < N)
-    split_at: Fraction  # P(X_N == 0 and Z == N)
-    ray_mass: Fraction  # mu_n((-inf, n-1])
-
-
-@dataclass(frozen=True, slots=True)
-class TheoremReport:
-    """The full two-route pipeline for the limit of P(X_n = 0).
-
-    Each row decomposes the constant 1/2 into the two split events and
-    records the ray mass mu_n((-inf, n-1]).  The two orders then evaluate
-    the limit of that ray mass: order (b) follows the numbers to 1/2, order
-    (a) applies the limiting measure to the limiting set and gets 0.
-    divergence_step names the exact substitution where the routes part.
-    """
-
-    rows: tuple[TheoremRow, ...]
-    order_a: LimitReport
-    order_b: LimitReport
-    divergence_step: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rows": [
-                {
-                    "n": r.n,
-                    "p_last_zero": rat_str(r.last_flip_zero),
-                    "p_last_zero_and_z_below": rat_str(r.split_below),
-                    "p_last_zero_and_z_at": rat_str(r.split_at),
-                    "ray_mass": rat_str(r.ray_mass),
-                }
-                for r in self.rows
-            ],
-            "order_a": self.order_a.to_dict(),
-            "order_b": self.order_b.to_dict(),
-            "divergence_step": self.divergence_step,
-        }
-
-
-def verify_theorem(n_max: int) -> TheoremReport:
-    """Walk the decomposition P(X_n=0) = P(X_n=0, Z<n) + P(X_n=0, Z=n) to
-    its limit under both evaluation orders.
-
-    Rows for n up to 12 are cross-checked against exhaustive enumeration;
-    a mismatch would mean the closed forms and the oracle disagree, which is
-    a broken build, not a domain error.
-    """
-    if not 2 <= n_max <= 20:
-        raise NRangeError(f"n_max must lie in [2, 20], got {n_max}")
-    ev_below = parse_event("X[N]==0 && Z<N")
-    ev_at = parse_event("X[N]==0 && Z==N")
-    ev_zero = parse_event("X[N]==0")
-    rows = []
-    for n in range(2, n_max + 1):
-        last_zero = Fraction(1, 2)
-        split_below = Fraction(1, 2) - Fraction(1, 2**n)
-        split_at = Fraction(1, 2**n)
-        ray_mass = mu_closed_form(n).mass_of_set(
-            MeasurableSet.lower_ray(finite(n - 1))
-        )
-        if n <= 12:
-            checks = (
-                (ev_zero, last_zero),
-                (ev_below, split_below),
-                (ev_at, split_at),
-            )
-            for event, expected in checks:
-                got = event_probability(n, FAIR, event)
-                if got != expected:
-                    raise RuntimeError(
-                        f"enumeration disagrees with closed form at n={n} for "
-                        f"{print_event(event)}: {rat_str(got)} != {rat_str(expected)}"
-                    )
-            if ray_mass != split_below:
-                raise RuntimeError(
-                    f"ray mass {rat_str(ray_mass)} != split probability "
-                    f"{rat_str(split_below)} at n={n}"
-                )
-        if last_zero != split_below + split_at:
-            raise RuntimeError(f"row decomposition broken at n={n}")
-        rows.append(TheoremRow(n, last_zero, split_below, split_at, ray_mass))
-    fam = builtin_family("mu")
-    sets = lower_ray_family(parse_sequence_spec("n-1"))
-    order_a = order_a_limit(fam, sets)
-    order_b = order_b_limit(fam, sets, horizon=32)
-    divergence_step = (
-        "the per-n identities are exact; the routes part at the final "
-        "substitution, where the limit of the numbers mu_n((-inf, n-1]) "
-        f"(order b, {rat_str(order_b.value)}) is replaced by the mass of the "
-        f"limiting set under the limiting measure (order a, "
-        f"{rat_str(order_a.value)})"
-    )
-    return TheoremReport(tuple(rows), order_a, order_b, divergence_step)
-
-
-# ---------------------------------------------------------------------------
 # argument parsing helpers
 
 
-def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: str, build: Callable[[Any], Any]) -> Any:
+    """`build` applied to the JSON in `path`; any failure is a domain error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise LimitGapError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise LimitGapError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise LimitGapError(f"{path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise LimitGapError(f"{path}: malformed entry: {exc}") from None
+
+
+def _records(data: Any, key: str) -> Any:
+    """The records of a payload given as {key: [...]}, [...] or one record."""
+    if isinstance(data, dict) and key in data:
+        data = data[key]
+    return [data] if isinstance(data, dict) else data
 
 
 def _family_arg(spec: str) -> MeasureFamily:
     if spec in ("mu", "lambda", "dirac_n"):
         return builtin_family(spec)
     if spec.startswith("@"):
-        data = _load_json(spec[1:])
-        if isinstance(data, dict) and "measures" in data:
-            data = data["measures"]
-        if isinstance(data, dict):
-            data = [data]
-        return table_family([measure_from_dict(d) for d in data])
+        return _load_json(spec[1:], lambda data: table_family(
+            [measure_from_dict(d) for d in _records(data, "measures")]))
     raise LimitGapError(
         f"unknown family {spec!r}; use mu, lambda, dirac_n, or @file.json"
     )
@@ -208,12 +120,8 @@ def _set_family_arg(spec: str) -> SetFamily:
     if spec.startswith("point="):
         return singleton_family(parse_ext_real(spec[6:]))
     if spec.startswith("@"):
-        data = _load_json(spec[1:])
-        if isinstance(data, dict) and "sets" in data:
-            data = data["sets"]
-        if isinstance(data, dict):
-            data = [data]
-        return set_table_family([set_from_dict(d) for d in data])
+        return _load_json(spec[1:], lambda data: set_table_family(
+            [set_from_dict(d) for d in _records(data, "sets")]))
     raise LimitGapError(
         f"unknown set family {spec!r}; use I(<seq>), I=<x>, point=<c>, or @file.json"
     )
@@ -225,7 +133,7 @@ def _single_set_arg(spec: str) -> MeasurableSet:
     if spec.startswith("point="):
         return MeasurableSet.singleton(parse_ext_real(spec[6:]))
     if spec.startswith("@"):
-        return set_from_dict(_load_json(spec[1:]))
+        return _load_json(spec[1:], set_from_dict)
     raise LimitGapError(
         f"unknown set {spec!r}; use I=<x>, point=<c>, or @file.json"
     )
@@ -325,7 +233,7 @@ def _cmd_measure_additivity(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_process_enumerate(args: argparse.Namespace) -> _Output:
-    rows = enumerate_outcomes(args.n, args.p, workers=args.workers)
+    rows = enumerate_outcomes(args.n, args.p)
     records = tuple(
         {
             "bits": "".join(str(b) for b in row.outcome.bits),
@@ -341,7 +249,7 @@ def _cmd_process_enumerate(args: argparse.Namespace) -> _Output:
 
 def _cmd_process_prob(args: argparse.Namespace) -> _Output:
     event = parse_event(args.event)
-    value = event_probability(args.n, args.p, event, workers=args.workers)
+    value = event_probability(args.n, args.p, event)
     data = {
         "event": print_event(event),
         "n": args.n,
@@ -491,14 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     enum = process_sub.add_parser("enumerate", help="all 2^n outcome rows")
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--p", type=parse_rational, default=FAIR)
-    enum.add_argument("--workers", type=int, default=1)
     _add_common(enum)
     enum.set_defaults(handler=_cmd_process_enumerate)
     prob = process_sub.add_parser("prob", help="exact probability of an event")
     prob.add_argument("--n", type=int, required=True)
     prob.add_argument("--p", type=parse_rational, default=FAIR)
     prob.add_argument("--event", required=True)
-    prob.add_argument("--workers", type=int, default=1)
     _add_common(prob)
     prob.set_defaults(handler=_cmd_process_prob)
     idents = process_sub.add_parser(

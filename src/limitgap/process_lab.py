@@ -10,7 +10,6 @@ popcount of v.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -59,22 +58,13 @@ def _popcount_probs(n: int, p: Fraction) -> list[Fraction]:
     return [p**k * q ** (n - k) for k in range(n + 1)]
 
 
-def _chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    bounds = []
-    start = 0
-    for i in range(parts):
-        end = start + base + (1 if i < extra else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
-
-
-def _rows_for_range(n: int, probs: list[Fraction], p: Fraction,
-                    start: int, end: int) -> list[ProcessRow]:
+def enumerate_outcomes(n: int, p: Fraction = FAIR) -> list[ProcessRow]:
+    """All 2**n process rows in increasing order of the encoded outcome."""
+    _validate_horizon(n)
+    p = _validate_bias(p)
+    probs = _popcount_probs(n, p)
     rows = []
-    for v in range(start, end):
+    for v in range(1 << n):
         bits = tuple((v >> i) & 1 for i in range(n))
         y = 1 if v else 0
         z = v.bit_length() if v else n
@@ -82,60 +72,20 @@ def _rows_for_range(n: int, probs: list[Fraction], p: Fraction,
     return rows
 
 
-def enumerate_outcomes(
-    n: int, p: Fraction = FAIR, workers: int = 1
-) -> list[ProcessRow]:
-    """All 2**n process rows in increasing order of the encoded outcome.
-
-    `workers` splits the range into contiguous chunks evaluated on a thread
-    pool and concatenated in chunk order, so the result is bit-identical for
-    every worker count.
-    """
-    _validate_horizon(n)
-    p = _validate_bias(p)
-    probs = _popcount_probs(n, p)
-    bounds = _chunk_bounds(1 << n, workers)
-    if len(bounds) == 1:
-        return _rows_for_range(n, probs, p, 0, 1 << n)
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        chunks = pool.map(
-            lambda se: _rows_for_range(n, probs, p, se[0], se[1]), bounds
-        )
-        rows: list[ProcessRow] = []
-        for chunk in chunks:
-            rows.extend(chunk)
-    return rows
-
-
-def z_distribution(n: int, p: Fraction = FAIR, workers: int = 1) -> DiscreteMeasure:
+def z_distribution(n: int, p: Fraction = FAIR) -> DiscreteMeasure:
     """The distribution of Z_n obtained by exhaustive enumeration."""
     _validate_horizon(n)
     p = _validate_bias(p)
-
-    def count_range(start: int, end: int) -> list[list[int]]:
-        # counts[z][k]: outcomes with Z_n = z and popcount k
-        counts = [[0] * (n + 1) for _ in range(n + 1)]
-        for v in range(start, end):
-            z = v.bit_length() if v else n
-            counts[z][v.bit_count()] += 1
-        return counts
-
-    bounds = _chunk_bounds(1 << n, workers)
-    if len(bounds) == 1:
-        totals = count_range(0, 1 << n)
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            partials = list(pool.map(lambda se: count_range(se[0], se[1]), bounds))
-        totals = partials[0]
-        for part in partials[1:]:
-            for z in range(n + 1):
-                for k in range(n + 1):
-                    totals[z][k] += part[z][k]
+    # counts[z][k]: outcomes with Z_n = z and popcount k
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for v in range(1 << n):
+        z = v.bit_length() if v else n
+        counts[z][v.bit_count()] += 1
     probs = _popcount_probs(n, p)
     pairs = []
     for z in range(1, n + 1):
         mass = sum(
-            (count * probs[k] for k, count in enumerate(totals[z]) if count),
+            (count * probs[k] for k, count in enumerate(counts[z]) if count),
             Fraction(0),
         )
         if mass:
@@ -163,12 +113,7 @@ def lambda_measure() -> DiscreteMeasure:
     return from_mass_pairs([(0, FAIR), (1, FAIR)])
 
 
-def event_probability(
-    n: int,
-    p: Fraction,
-    e: EventPredicate | str,
-    workers: int = 1,
-) -> Fraction:
+def event_probability(n: int, p: Fraction, e: EventPredicate | str) -> Fraction:
     """Exact probability of an event over the length-n process.
 
     Scans all 2**n outcomes with the predicate compiled to a closure over
@@ -180,26 +125,15 @@ def event_probability(
     if isinstance(e, str):
         e = parse_event(e)
     pred = compile_event(e, n)  # raises IndexOutOfRangeError for X[i], i > n
-
-    def count_range(start: int, end: int) -> list[int]:
-        counts = [0] * (n + 1)
-        for v in range(start, end):
-            y = 1 if v else 0
-            z = v.bit_length() if v else n
-            if pred(v, y, z):
-                counts[v.bit_count()] += 1
-        return counts
-
-    bounds = _chunk_bounds(1 << n, workers)
-    if len(bounds) == 1:
-        totals = count_range(0, 1 << n)
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            partials = list(pool.map(lambda se: count_range(se[0], se[1]), bounds))
-        totals = [sum(col) for col in zip(*partials)]
+    counts = [0] * (n + 1)
+    for v in range(1 << n):
+        y = 1 if v else 0
+        z = v.bit_length() if v else n
+        if pred(v, y, z):
+            counts[v.bit_count()] += 1
     probs = _popcount_probs(n, p)
     return sum(
-        (count * probs[k] for k, count in enumerate(totals) if count), Fraction(0)
+        (count * probs[k] for k, count in enumerate(counts) if count), Fraction(0)
     )
 
 

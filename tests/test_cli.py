@@ -361,11 +361,34 @@ def test_escape_k_range_error(capsys):
 
 
 def test_usage_errors_exit_with_code_two(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["converge", "limit", "--family", "mu", "--sets", "I(n)",
-              "--order", "c"])
-    assert exc_info.value.code == 2
+    for argv in (
+        ["converge", "limit", "--family", "mu", "--sets", "I(n)", "--order", "c"],
+        ["process", "enumerate", "--n", "3", "--workers", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        None,  # the file does not exist
+        "{not json",
+        json.dumps({"atoms": [{"mass": "1/2"}]}),
+        json.dumps({"atoms": [{"point": "1/1", "mass": "half"}]}),
+    ],
+    ids=["missing-file", "not-json", "atom-without-point", "mass-not-rational"],
+)
+def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload):
+    path = tmp_path / "family.json"
+    if payload is not None:
+        path.write_text(payload)
+    code, out, err = run(capsys, "measure", "show", "--family", f"@{path}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
 
 
 def test_missing_subcommand_exits_with_code_two(capsys):

@@ -207,16 +207,3 @@ def test_escape_offset_must_stay_inside_the_horizon():
         escaped_mass_profile(10, 10)
     with pytest.raises(KRangeError):
         escaped_mass_profile(10, -1)
-
-
-def test_worker_count_never_changes_the_rows():
-    baseline = enumerate_outcomes(8)
-    for workers in (2, 3, 5):
-        assert enumerate_outcomes(8, workers=workers) == baseline
-
-
-def test_worker_count_never_changes_derived_answers():
-    assert z_distribution(8, workers=4) == z_distribution(8)
-    assert event_probability(10, F(1, 2), "Z<N", workers=4) == event_probability(
-        10, F(1, 2), "Z<N"
-    )

@@ -98,14 +98,10 @@ def _records(data: Any, key: str) -> Any:
 
 
 def _family_arg(spec: str) -> MeasureFamily:
-    if spec in ("mu", "lambda", "dirac_n"):
-        return builtin_family(spec)
     if spec.startswith("@"):
         return _load_json(spec[1:], lambda data: table_family(
             [measure_from_dict(d) for d in _records(data, "measures")]))
-    raise LimitGapError(
-        f"unknown family {spec!r}; use mu, lambda, dirac_n, or @file.json"
-    )
+    return builtin_family(spec)
 
 
 _RAY_SEQ = re.compile(r"^I\((.+)\)$")

@@ -157,19 +157,13 @@ class MeasureFamily:
             return min(horizon, len(self.table))
         return horizon
 
-    def describe(self) -> str:
-        if self.kind == "mu":
-            return "mu_n (last-argmax law, fair coin)"
-        if self.kind == "lambda":
-            return "lambda_n (single-flip law)"
-        if self.kind == "dirac_n":
-            return "dirac_n (unit mass at n)"
-        return f"explicit table of {len(self.table)} measures"
-
 
 def builtin_family(name: str) -> MeasureFamily:
     if name not in ("mu", "lambda", "dirac_n"):
-        raise DomainError(f"unknown builtin family {name!r}")
+        raise DomainError(
+            f"unknown builtin family {name!r}; use mu, lambda, dirac_n, "
+            "or a table of measures (@file.json)"
+        )
     return MeasureFamily(name)
 
 
@@ -289,19 +283,16 @@ class SetFamily:
         if self.kind == "singleton":
             return self.member(1), "constant"
         if self.kind == "ray_seq":
+            # The ray up to lim x_n, open there when x_n increases to it
+            # without reaching it (the union), closed otherwise.
             direction = self.seq.direction
-            if direction == "constant":
-                return self.member(1), "constant"
-            if self.seq.kind == "affine":
-                return MeasurableSet.reals(), "increasing (union)"
-            q = finite(self.seq.q)
-            if direction == "decreasing":
-                return MeasurableSet.lower_ray(q), "decreasing (intersection)"
-            # x_n = q - 1/n never reaches q, so the union is the open ray.
-            return (
-                MeasurableSet.from_pieces((Interval(NEG_INF, False, q, False),)),
-                "increasing (union)",
-            )
+            increasing = direction == "increasing"
+            ray = Interval(NEG_INF, False, self.seq.limit, not increasing)
+            notion = {
+                "increasing": "increasing (union)",
+                "decreasing": "decreasing (intersection)",
+            }.get(direction, direction)
+            return MeasurableSet.from_pieces((ray,)), notion
         last = self.table[-1]
         settle = min(3, len(self.table))
         if any(s != last for s in self.table[-settle:]):
@@ -525,12 +516,8 @@ def weak_limit_identify(fam: MeasureFamily, horizon: int) -> DiscreteMeasure:
         raise InconclusiveError(
             f"identified atom masses sum to {rat_str(claimed)} > 1"
         )
-    escaped = 1 - claimed
-    if escaped:
-        existing = dict(limit_pairs)
-        merged = existing.get(POS_INF, Fraction(0)) + escaped
-        existing[POS_INF] = merged
-        limit_pairs = sorted(existing.items())
+    # Unclaimed mass escapes to +inf; the constructor merges and sorts.
+    limit_pairs.append((POS_INF, 1 - claimed))
     return DiscreteMeasure(tuple(limit_pairs))
 
 
@@ -666,28 +653,17 @@ def order_b_limit(
             f"mass sequence has no detectable limit within horizon {scan}: "
             f"{analysis.witness}"
         )
-    eligible: bool | None = None
     try:
-        a_value = order_a_limit(fam, sets, horizon).value
+        eligible = analysis.value == order_a_limit(fam, sets, horizon).value
     except (NoWeakLimitError, NoSetLimitError):
-        a_value = None
-    if a_value is not None:
-        eligible = analysis.value == a_value
-    if analysis.kind == "divergent":
-        return LimitReport(
-            order="b",
-            value="divergent",
-            horizon_used=scan,
-            witness=analysis.witness,
-            eligible=eligible,
-            witness_pair=analysis.pair,
-        )
+        eligible = None
     return LimitReport(
         order="b",
-        value=analysis.value,
+        value="divergent" if analysis.kind == "divergent" else analysis.value,
         horizon_used=scan,
         witness=analysis.witness,
         eligible=eligible,
+        witness_pair=analysis.pair,
     )
 
 
@@ -756,7 +732,9 @@ def branch_check(
     order_b = order_b_limit(fam, sets, horizon)
     tightness = tightness_probe(fam, Fraction(1, 2), horizon)
     rho = weak_limit_identify(fam, horizon)
+    continuity_mass = infinity_mass = None
     if xs.limit.is_finite:
+        branch = "a"
         continuity_mass = rho.mass_at(xs.limit)
         if continuity_mass == 0:
             predicted = (
@@ -770,38 +748,31 @@ def branch_check(
                 f"{rat_str(continuity_mass)} at x; no agreement is predicted"
             )
             holds = None
-        return BranchReport(
-            branch="a",
-            xs=xs.describe(),
-            order_a=order_a,
-            order_b=order_b,
-            tightness=tightness,
-            predicted=predicted,
-            holds=holds,
-            continuity_mass=continuity_mass,
-        )
-    infinity_mass = rho.mass_at(POS_INF)
-    if tightness.tight is True:
-        predicted = "x_n increases to +inf and the family is tight, so the two orders agree"
-        holds = order_a.value == order_b.value
-    elif tightness.tight is False:
-        predicted = (
-            "x_n increases to +inf and the family is not tight: the order-(a) "
-            "mass is 1 - rho({+inf}) and the order-(b) number is not "
-            "probability-eligible"
-        )
-        holds = order_a.value == 1 - infinity_mass and order_b.eligible is False
     else:
-        predicted = "tightness is inconclusive, so no relation is predicted"
-        holds = None
+        branch = "b"
+        infinity_mass = rho.mass_at(POS_INF)
+        if tightness.tight is True:
+            predicted = "x_n increases to +inf and the family is tight, so the two orders agree"
+            holds = order_a.value == order_b.value
+        elif tightness.tight is False:
+            predicted = (
+                "x_n increases to +inf and the family is not tight: the order-(a) "
+                "mass is 1 - rho({+inf}) and the order-(b) number is not "
+                "probability-eligible"
+            )
+            holds = order_a.value == 1 - infinity_mass and order_b.eligible is False
+        else:
+            predicted = "tightness is inconclusive, so no relation is predicted"
+            holds = None
     return BranchReport(
-        branch="b",
+        branch=branch,
         xs=xs.describe(),
         order_a=order_a,
         order_b=order_b,
         tightness=tightness,
         predicted=predicted,
         holds=holds,
+        continuity_mass=continuity_mass,
         infinity_mass=infinity_mass,
     )
 

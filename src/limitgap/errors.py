@@ -61,6 +61,10 @@ class NoSetLimitError(LimitGapError):
     """The set family is neither constant nor monotone, so it has no limit."""
 
 
+class BadRationalError(LimitGapError, ValueError):
+    """Text is not an exact rational; a ValueError too, so argparse types fail cleanly."""
+
+
 class BadSequenceSpecError(LimitGapError):
     """A real-sequence spec is not one of the supported monotone forms."""
 

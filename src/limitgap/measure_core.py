@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Any, Callable, Iterable
 
-from .errors import NegativeMassError, TotalExceedsOneError
+from .errors import BadRationalError, NegativeMassError, TotalExceedsOneError
 
 _NEG, _FIN, _POS = -1, 0, 1
 
@@ -28,7 +28,10 @@ def rat_str(q: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" (or a plain integer string) into an exact rational."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise BadRationalError(f"not an exact rational: {text!r}") from None
 
 
 @total_ordering

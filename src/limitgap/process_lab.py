@@ -63,9 +63,12 @@ def enumerate_outcomes(n: int, p: Fraction = FAIR) -> list[ProcessRow]:
     _validate_horizon(n)
     p = _validate_bias(p)
     probs = _popcount_probs(n, p)
+    # all_bits[v] is the bit tuple of v, built one flip at a time by doubling.
+    all_bits: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        all_bits = [b + (0,) for b in all_bits] + [b + (1,) for b in all_bits]
     rows = []
-    for v in range(1 << n):
-        bits = tuple((v >> i) & 1 for i in range(n))
+    for v, bits in enumerate(all_bits):
         y = 1 if v else 0
         z = v.bit_length() if v else n
         rows.append(ProcessRow(Outcome(bits, p, probs[v.bit_count()]), y, z))

@@ -176,6 +176,49 @@ def test_limit_order_a_is_tagged_with_its_measure_and_set(capsys):
     assert data["set_tag"] == "(-inf, +inf)"
 
 
+@pytest.mark.parametrize(
+    "sets, order, expected",
+    [
+        ("I=1/2", "a", "1/2"),
+        ("I=-1", "b", "0/1"),
+        ("point=1", "a", "1/2"),
+        ("point=+inf", "b", "0/1"),
+        ("@settles.json", "a", "1/1"),
+        ("@settles.json", "b", "1/1"),
+        ("@flaps.json", "a", None),  # a flapping list has no limiting set
+        ("@flaps.json", "b", "1/2"),
+    ],
+)
+def test_limit_accepts_every_sets_form(capsys, tmp_path, monkeypatch, sets, order, expected):
+    ray = {"intervals": [{"lo": "-inf", "lo_closed": False, "hi": "1/1", "hi_closed": True}]}
+    zero, one = {"points": ["0/1"]}, {"points": ["1/1"]}
+    (tmp_path / "settles.json").write_text(json.dumps({"sets": [zero] + [ray] * 8}))
+    (tmp_path / "flaps.json").write_text(json.dumps({"sets": [zero, one] * 4}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys,
+        "converge", "limit", "--family", "lambda", "--sets", sets,
+        "--order", order, "--format", "json",
+    )
+    if expected is None:
+        assert code == 1 and out == "" and "neither constant nor settled" in err
+    else:
+        assert code == 0 and json.loads(out)["value"] == expected
+
+
+def test_key_value_reports_render_as_key_value_csv(capsys):
+    argv = ("measure", "additivity", "--family", "lambda",
+            "--set-a", "point=0", "--set-b", "I=1")
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    data = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["key"] for row in rows] == list(data)
+    assert rows[0] == {"key": "mass_a", "value": "1/2"}
+    assert rows[-1] == {"key": "eligible", "value": "False"}
+
+
 def test_limit_table_output_leads_with_the_number(capsys):
     code, out, _ = run(
         capsys,
@@ -364,6 +407,8 @@ def test_usage_errors_exit_with_code_two(capsys):
     for argv in (
         ["converge", "limit", "--family", "mu", "--sets", "I(n)", "--order", "c"],
         ["process", "enumerate", "--n", "3", "--workers", "2"],
+        ["process", "prob", "--n", "3", "--p", "1/0", "--event", "Y==1"],
+        ["converge", "tightness", "--family", "mu", "--epsilon", "1/0"],
     ):
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
@@ -371,24 +416,51 @@ def test_usage_errors_exit_with_code_two(capsys):
     capsys.readouterr()
 
 
+SHOW_FILE = ("measure", "show", "--family", "@{path}")
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, argv, named",
     [
-        None,  # the file does not exist
-        "{not json",
-        json.dumps({"atoms": [{"mass": "1/2"}]}),
-        json.dumps({"atoms": [{"point": "1/1", "mass": "half"}]}),
+        (None, SHOW_FILE, "{path}"),  # the file does not exist
+        ("{not json", SHOW_FILE, "{path}"),
+        (json.dumps({"atoms": [{"mass": "1/2"}]}), SHOW_FILE, "{path}"),
+        (json.dumps({"atoms": [{"point": "1/1", "mass": "half"}]}), SHOW_FILE, "{path}"),
+        (
+            None,
+            ("measure", "additivity", "--family", "lambda",
+             "--set-a", "I=abc", "--set-b", "I=0"),
+            "'abc'",
+        ),
+        (
+            None,
+            ("converge", "limit", "--family", "mu", "--sets", "point=x", "--order", "a"),
+            "'x'",
+        ),
+        (
+            None,
+            ("converge", "limit", "--family", "mu", "--sets", "I=1/0", "--order", "b"),
+            "'1/0'",
+        ),
     ],
-    ids=["missing-file", "not-json", "atom-without-point", "mass-not-rational"],
+    ids=[
+        "missing-file",
+        "not-json",
+        "atom-without-point",
+        "mass-not-rational",
+        "set-a-not-rational",
+        "point-not-rational",
+        "ray-zero-denominator",
+    ],
 )
-def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload):
+def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload, argv, named):
     path = tmp_path / "family.json"
     if payload is not None:
         path.write_text(payload)
-    code, out, err = run(capsys, "measure", "show", "--family", f"@{path}")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert str(path) in err and "Traceback" not in err
+    assert named.format(path=path) in err and "Traceback" not in err
 
 
 def test_missing_subcommand_exits_with_code_two(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from limitgap.convergence_lab import (
+    RealSequence,
     analyze_rational_sequence,
     branch_check,
     builtin_family,
@@ -115,6 +116,9 @@ def test_table_index_past_the_end():
     fam = table_family([lambda_measure()])
     with pytest.raises(DomainError, match="1 members"):
         fam.member(2)
+    sets = set_table_family([MeasurableSet.empty()] * 2)
+    with pytest.raises(DomainError, match="set list has 2 members, index 3 requested"):
+        sets.member(3)
 
 
 # --- threshold sequences ---
@@ -182,6 +186,18 @@ def test_rays_rising_from_below_union_to_the_open_ray():
     limit, _ = lower_ray_family(parse_sequence_spec("1-1/n")).limit()
     assert limit.contains(finite(F(99, 100)))
     assert not limit.contains(finite(1))
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [parse_sequence_spec("3"), RealSequence("const", F(3))],
+    ids=["I(3)", "I=3"],
+)
+def test_constant_rays_are_their_own_limit(seq):
+    assert lower_ray_family(seq).limit() == (
+        MeasurableSet.lower_ray(finite(3)),
+        "constant",
+    )
 
 
 def test_singleton_family_is_constant():
@@ -463,6 +479,12 @@ def test_branch_report_serializes_cleanly():
     assert data["order_b"]["value"] == "1/2"
     assert data["order_b"]["eligible"] is False
     assert data["infinity_mass"] == "1/1"
+    assert data["branch"] == "b" and data["continuity_mass"] is None
+    data = branch_check(builtin_family("lambda"), "0", 64).to_dict()
+    assert data["branch"] == "a" and data["xs"] == "0/1"
+    assert data["order_a"]["value"] == data["order_b"]["value"] == "1/2"
+    assert data["holds"] is None
+    assert data["continuity_mass"] == "1/2" and data["infinity_mass"] is None
 
 
 def test_random_ray_specs_never_split_orders_for_the_tight_family():

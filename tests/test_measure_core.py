@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from limitgap.errors import NegativeMassError, TotalExceedsOneError
+from limitgap.errors import LimitGapError, NegativeMassError, TotalExceedsOneError
 from limitgap.measure_core import (
     NEG_INF,
     POS_INF,
@@ -19,6 +19,7 @@ from limitgap.measure_core import (
     measure_from_dict,
     measure_to_dict,
     parse_ext_real,
+    parse_rational,
     rat_str,
     set_from_dict,
     set_to_dict,
@@ -46,6 +47,15 @@ def test_equality_is_exact_rational_equality():
 @pytest.mark.parametrize("text", ["-inf", "+inf", "0/1", "-7/3", "22/7"])
 def test_ext_real_serialization_round_trips(text):
     assert str(parse_ext_real(text)) == text
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", "", "x/2"])
+def test_malformed_rationals_are_domain_and_value_errors(text):
+    with pytest.raises(LimitGapError, match="not an exact rational") as exc_info:
+        parse_rational(text)
+    assert isinstance(exc_info.value, ValueError)
+    with pytest.raises(LimitGapError):
+        parse_ext_real(text)
 
 
 def test_rat_str_always_carries_denominator():

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 from typing import Any, Callable, Iterable
 
 from .errors import BadRationalError, NegativeMassError, TotalExceedsOneError
@@ -34,8 +33,7 @@ def parse_rational(text: str) -> Fraction:
         raise BadRationalError(f"not an exact rational: {text!r}") from None
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class ExtReal:
     """A point of R-bar: -inf, a finite rational, or +inf.
 
@@ -44,7 +42,7 @@ class ExtReal:
     so they can serve as measure support points and dict keys.
     """
 
-    tag: int  # _NEG, _FIN, or _POS
+    tag: int  # _NEG < _FIN < _POS, compared before value: that gives the order
     value: Fraction | None = None
 
     def __post_init__(self) -> None:
@@ -57,14 +55,6 @@ class ExtReal:
     @property
     def is_finite(self) -> bool:
         return self.tag == _FIN
-
-    def _key(self) -> tuple[int, Fraction]:
-        return (self.tag, self.value if self.tag == _FIN else Fraction(0))
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, ExtReal):
-            return NotImplemented
-        return self._key() < other._key()
 
     def __str__(self) -> str:
         if self.tag == _NEG:

@@ -217,5 +217,5 @@ def escaped_mass_profile(n: int, k_max: int) -> list[tuple[int, Fraction]]:
         raise DomainError(f"horizon must be at least 1, got {n}")
     if not 0 <= k_max < n:
         raise KRangeError(f"k_max must lie in [0, {n - 1}], got {k_max}")
-    m = mu_closed_form(n)
-    return [(k, m.mass_at(finite(n - k))) for k in range(k_max + 1)]
+    masses = dict(mu_closed_form(n).atoms)
+    return [(k, masses[finite(n - k)]) for k in range(k_max + 1)]

@@ -1,10 +1,13 @@
 """End-to-end runs of the limitgap command line."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitgap.cli import main
 
@@ -442,6 +445,8 @@ SHOW_FILE = ("measure", "show", "--family", "@{path}")
             ("converge", "limit", "--family", "mu", "--sets", "I=1/0", "--order", "b"),
             "'1/0'",
         ),
+        (None, ("measure", "show", "--family", "mu", "--out", "{path}/x.txt"), "{path}/x.txt"),
+        ("[" * 100000 + "]" * 100000, SHOW_FILE, "{path}"),
     ],
     ids=[
         "missing-file",
@@ -451,6 +456,8 @@ SHOW_FILE = ("measure", "show", "--family", "@{path}")
         "set-a-not-rational",
         "point-not-rational",
         "ray-zero-denominator",
+        "out-dir-missing",
+        "too-deeply-nested",
     ],
 )
 def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload, argv, named):
@@ -468,3 +475,85 @@ def test_missing_subcommand_exits_with_code_two(capsys):
         main(["measure"])
     assert exc_info.value.code == 2
     capsys.readouterr()
+
+
+FUZZ_RATIONALS = ["1/2", "1/3", "0", "-1", "2", "abc", "1/0", "", "+inf", "nan"]
+FUZZ_FAMILIES = ["mu", "lambda", "dirac_n", "nu", "", "@{dir}/family.json",
+                 "@{dir}/missing.json", "@{dir}/bad.json", "@{dir}/deep.json"]
+FUZZ_SET = ["I=1/2", "I=abc", "I=1/0", "point=1", "point=+inf", "point=x",
+            "@{dir}/set.json", "@{dir}/sets.json", "@{dir}/missing.json", "@{dir}/deep.json", "x"]
+FUZZ_SETS = ["I(n-1)", "I(n)", "I(1/n)", "I(n^2)", "I()", "@{dir}/family.json", *FUZZ_SET]
+FUZZ_XS = ["n-1", "n", "1/n", "1/2", "n^2", "", "x"]
+FUZZ_EVENTS = ["X[N]==0", "X[N]==0 && Z<N", "Y==1 || Z==N", "X[0]==1", "X[99]==1",
+               "Y==", "((", ""]
+
+
+@st.composite
+def cli_argv(draw):
+    """Any subcommand with small sizes, bad rationals and specs, and bad files."""
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def size():
+        return str(draw(st.integers(-3, 9)))
+
+    def p():
+        return ["--p", pick(FUZZ_RATIONALS)] if draw(st.booleans()) else []
+
+    commands = {
+        "measure show": lambda: ["--family", pick(FUZZ_FAMILIES), "--n", size()],
+        "measure additivity": lambda: [
+            "--family", pick(FUZZ_FAMILIES), "--n", size(),
+            "--set-a", pick(FUZZ_SET), "--set-b", pick(FUZZ_SET)],
+        "process enumerate": lambda: ["--n", size(), *p()],
+        "process prob": lambda: ["--n", size(), "--event", pick(FUZZ_EVENTS), *p()],
+        "process identities": lambda: ["--n", size(), *p()],
+        "process escape": lambda: ["--n", size(), "--k-max", size()],
+        "converge tightness": lambda: [
+            "--family", pick(FUZZ_FAMILIES), "--epsilon", pick(FUZZ_RATIONALS),
+            "--horizon", size()],
+        "converge limit": lambda: [
+            "--family", pick(FUZZ_FAMILIES), "--sets", pick(FUZZ_SETS),
+            "--order", pick(["a", "b", "c"]), "--horizon", size()],
+        "converge weaklimit": lambda: ["--family", pick(FUZZ_FAMILIES), "--horizon", size()],
+        "converge testfn": lambda: [
+            "--family", pick(FUZZ_FAMILIES), "--fn", pick(["sin", "atan", "h", "cos"]),
+            "--horizon", size()],
+        "converge branches": lambda: [
+            "--family", pick(FUZZ_FAMILIES), "--xs", pick(FUZZ_XS), "--horizon", size()],
+        "compactify": lambda: ["--family", pick(FUZZ_FAMILIES), "--n", size()],
+        "theorem verify": lambda: ["--n-max", size()],
+        "plotdata": lambda: ["--n-max", size()],
+    }
+    name = pick(sorted(commands))
+    argv = [*name.split(), *commands[name](), "--format", pick(["table", "json", "csv"])]
+    if draw(st.booleans()):
+        argv += ["--out", pick(["{dir}/out.txt", "{dir}/missing/out.txt"])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    atom = {"atoms": [{"point": "0/1", "mass": "1/1"}], "total": "1/1"}
+    (path / "family.json").write_text(json.dumps({"measures": [atom] * 3}))
+    (path / "set.json").write_text(json.dumps({"points": ["0/1"]}))
+    (path / "sets.json").write_text(json.dumps({"sets": [{"points": ["0/1"]}] * 3}))
+    (path / "bad.json").write_text("{not json")
+    (path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    return path
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(argv=cli_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([a.format(dir=fuzz_dir) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert out.getvalue() == "" and err.startswith("error:") and err.count("\n") == 1

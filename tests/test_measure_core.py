@@ -36,6 +36,8 @@ def test_order_puts_infinities_around_every_finite():
         POS_INF,
     ]
     assert NEG_INF < finite(-(10**50)) and finite(10**50) < POS_INF
+    with pytest.raises(TypeError):
+        finite(1) < 1
 
 
 def test_equality_is_exact_rational_equality():

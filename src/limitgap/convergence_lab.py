@@ -42,6 +42,7 @@ from .measure_core import (
 from .process_lab import FAIR, event_probability, lambda_measure, mu_closed_form
 
 _WINDOW = 8
+_TAIL = _WINDOW + 1  # the most trailing terms analyze_rational_sequence reads
 
 
 def _value_json(value: Any) -> Any:
@@ -72,8 +73,22 @@ class SequenceAnalysis:
     pair: tuple[Fraction, Fraction] | None = None
 
 
-def analyze_rational_sequence(values: Sequence[Fraction]) -> SequenceAnalysis:
-    count = len(values)
+def analyze_rational_sequence(
+    values: Sequence[Fraction], count: int | None = None
+) -> SequenceAnalysis:
+    """Detect the limit of a sequence of count terms from its trailing terms.
+
+    values holds the last terms of the sequence; without count it is the
+    whole sequence.  Only the last _TAIL terms are read, so a caller may pass
+    just those with count set; fewer than min(count, _TAIL) values, or more
+    than count, raises ValueError.  Witnesses index the terms 1..count.
+    """
+    if count is None:
+        count = len(values)
+    elif not min(count, _TAIL) <= len(values) <= count:
+        raise ValueError(
+            f"need the last {min(count, _TAIL)} of {count} terms, got {len(values)}"
+        )
     if count >= 2:
         window = min(_WINDOW, count)
         tail = values[-window:]
@@ -85,7 +100,7 @@ def analyze_rational_sequence(values: Sequence[Fraction]) -> SequenceAnalysis:
                 f"{rat_str(tail[0])}",
             )
     if count >= 4:
-        tail = values[-min(_WINDOW + 1, count):]
+        tail = values[-min(_TAIL, count):]
         diffs = [b - a for a, b in zip(tail, tail[1:])]
         if all(d != 0 for d in diffs) and len(diffs) >= 3:
             ratios = {b / a for a, b in zip(diffs, diffs[1:])}
@@ -642,12 +657,17 @@ def order_b_limit(
     The result is a bare number, never tagged with a measure or a set.  It
     is probability-eligible exactly when it equals the order-(a) value for
     the same inputs; the flag is omitted when order (a) is unavailable.
+    Only the last _TAIL masses up to the scan horizon are computed, since
+    they are all the limit detector reads.
     """
     if horizon < 2:
         raise DomainError(f"horizon must be at least 2, got {horizon}")
     scan = min(fam.clip_horizon(horizon), sets.clip_horizon(horizon))
-    values = [fam.member(n).mass_of_set(sets.member(n)) for n in range(1, scan + 1)]
-    analysis = analyze_rational_sequence(values)
+    values = [
+        fam.member(n).mass_of_set(sets.member(n))
+        for n in range(max(1, scan - _WINDOW), scan + 1)
+    ]
+    analysis = analyze_rational_sequence(values, count=scan)
     if analysis.kind == "inconclusive":
         raise InconclusiveError(
             f"mass sequence has no detectable limit within horizon {scan}: "

@@ -70,7 +70,7 @@ class BadSequenceSpecError(LimitGapError):
 
 
 class NRangeError(LimitGapError):
-    """Theorem walkthrough horizon must satisfy 2 <= n_max <= 20."""
+    """A walkthrough or plot horizon n_max lies outside its allowed range."""
 
 
 class DomainError(LimitGapError):

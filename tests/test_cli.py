@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitgap.cli import main
+from limitgap.cli import PLOT_MAX_N, main
 
 
 def run(capsys, *argv):
@@ -342,6 +342,20 @@ def test_plotdata_csv(capsys):
         {"n": "2", "j": "1/1", "mass": "1/4"},
         {"n": "2", "j": "2/1", "mass": "3/4"},
     ]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("n_max", ["-3", "0", str(PLOT_MAX_N + 1)])
+def test_plotdata_range_check(capsys, n_max, fmt):
+    code, out, err = run(capsys, "plotdata", "--n-max", n_max, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: n_max must lie in [1, {PLOT_MAX_N}], got {n_max}"]
+
+
+def test_plotdata_accepts_n_max_one(capsys):
+    code, out, _ = run(capsys, "plotdata", "--n-max", "1", "--format", "csv")
+    assert code == 0 and out.splitlines() == ["n,j,mass", "1,1/1,1/1"]
+    assert PLOT_MAX_N >= 120  # the benchmark plots the mass parade up to 120
 
 
 def test_family_file_round_trip(capsys, tmp_path):

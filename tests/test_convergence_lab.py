@@ -7,6 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from limitgap.convergence_lab import (
+    _TAIL,
+    _WINDOW,
+    LimitReport,
+    MeasureFamily,
     RealSequence,
     analyze_rational_sequence,
     branch_check,
@@ -85,6 +89,48 @@ def test_short_sequences_are_inconclusive():
 def test_growing_differences_are_not_a_geometric_tail():
     values = [F(2**n) for n in range(1, 10)]  # ratio 2 >= 1
     assert analyze_rational_sequence(values).kind == "inconclusive"
+
+
+# --- the tail-and-count form ---
+
+
+def _seeded_sequences(rng):
+    """Noise, then a constant, geometric, alternating or noise run to the end."""
+    for length in range(25):
+        for shape in ("constant", "geometric", "alternating", "noise"):
+            start = rng.randint(0, length)
+            a = F(rng.randint(-5, 5), rng.randint(1, 4))
+            b = a + rng.choice([-1, 1]) * F(1, rng.randint(1, 3))
+            r = F(rng.choice([-1, 1]), rng.randint(2, 5))
+            run = {
+                "constant": lambda k: a,
+                "geometric": lambda k: a + r**k,
+                "alternating": lambda k: (a, b)[k % 2],
+                "noise": lambda k: F(rng.randint(-9, 9), rng.randint(1, 9)),
+            }[shape]
+            prefix = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(start)]
+            yield prefix + [run(k) for k in range(length - start)]
+
+
+def test_trailing_values_with_a_count_give_the_full_analysis():
+    kinds = set()
+    for values in _seeded_sequences(random.Random(5)):
+        full = analyze_rational_sequence(values)
+        kinds.add(full.kind)
+        for k in range(_TAIL, max(_TAIL, len(values)) + 1):
+            assert analyze_rational_sequence(values[-k:], count=len(values)) == full
+    assert kinds == {"constant", "geometric", "divergent", "inconclusive"}
+
+
+def test_too_few_or_too_many_trailing_values_raise():
+    for values in _seeded_sequences(random.Random(6)):
+        count = len(values)
+        for k in range(min(count, _TAIL)):
+            with pytest.raises(ValueError, match=f"of {count} terms"):
+                analyze_rational_sequence(values[count - k:], count=count)
+        if count:
+            with pytest.raises(ValueError):
+                analyze_rational_sequence(values, count=count - 1)
 
 
 # --- measure families ---
@@ -428,6 +474,105 @@ def test_order_b_scan_is_clipped_to_the_table():
     fam = table_family([lambda_measure()] * 6)
     report = order_b_limit(fam, singleton_family(finite(0)), 64)
     assert report.horizon_used == 6 and report.value == HALF
+
+
+# --- order (b) against a brute-force oracle ---
+
+
+def _order_b_or_error(fam, sets, horizon):
+    try:
+        return order_b_limit(fam, sets, horizon).to_dict()
+    except InconclusiveError as exc:
+        return str(exc)
+
+
+def _order_b_oracle(fam, sets, horizon):
+    """Order (b) by brute force: every mass 1..scan, analysed as one full list."""
+    scan = min(fam.clip_horizon(horizon), sets.clip_horizon(horizon))
+    masses = [fam.member(n).mass_of_set(sets.member(n)) for n in range(1, scan + 1)]
+    analysis = analyze_rational_sequence(masses)
+    if analysis.kind == "inconclusive":
+        return (
+            f"mass sequence has no detectable limit within horizon {scan}: "
+            f"{analysis.witness}"
+        )
+    try:
+        eligible = analysis.value == order_a_limit(fam, sets, horizon).value
+    except (NoWeakLimitError, NoSetLimitError):
+        eligible = None
+    return LimitReport(
+        order="b",
+        value="divergent" if analysis.kind == "divergent" else analysis.value,
+        horizon_used=scan,
+        witness=analysis.witness,
+        eligible=eligible,
+        witness_pair=analysis.pair,
+    ).to_dict()
+
+
+_ORACLE_SETS = {
+    "I(n-1)": lower_ray_family(parse_sequence_spec("n-1")),
+    "I(n+2)": lower_ray_family(parse_sequence_spec("n+2")),
+    "I(1/2+1/n)": lower_ray_family(parse_sequence_spec("1/2+1/n")),
+    "I(3-1/n)": lower_ray_family(parse_sequence_spec("3-1/n")),
+    "I=1/2": lower_ray_family(RealSequence("const", HALF)),
+    "point=+inf": singleton_family(POS_INF),
+}
+
+
+@pytest.mark.parametrize("set_spec", sorted(_ORACLE_SETS))
+@pytest.mark.parametrize("family", ["mu", "dirac_n", "lambda"])
+def test_order_b_matches_the_brute_force_oracle_on_builtins(family, set_spec):
+    fam, sets = builtin_family(family), _ORACLE_SETS[set_spec]
+    for horizon in range(2, 41):
+        expected = _order_b_oracle(fam, sets, horizon)
+        assert _order_b_or_error(fam, sets, horizon) == expected, horizon
+
+
+_ORACLE_TABLES = {
+    "alternating": (
+        table_family([dirac(finite(0)), dirac(finite(1))] * 6),
+        singleton_family(finite(0)),
+    ),
+    "undetectable-decay": (
+        table_family(
+            [from_mass_pairs([(0, F(1, n + 1)), (1, 1 - F(1, n + 1))]) for n in range(1, 15)]
+        ),
+        singleton_family(finite(0)),
+    ),
+    "clipped-to-the-table": (
+        table_family([lambda_measure()] * 6),
+        singleton_family(finite(0)),
+    ),
+    "clipped-to-the-set-list": (
+        builtin_family("mu"),
+        set_table_family([MeasurableSet.lower_ray(finite(k)) for k in range(11)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_TABLES))
+def test_order_b_matches_the_brute_force_oracle_on_tables(case):
+    fam, sets = _ORACLE_TABLES[case]
+    for horizon in (*range(2, 41), 64):
+        expected = _order_b_oracle(fam, sets, horizon)
+        assert _order_b_or_error(fam, sets, horizon) == expected, horizon
+
+
+def test_order_b_requests_only_the_members_it_reads(monkeypatch):
+    requests = []
+    member = MeasureFamily.member
+    monkeypatch.setattr(
+        MeasureFamily, "member", lambda self, n: requests.append(n) or member(self, n)
+    )
+    mu = builtin_family("mu")
+    report = order_b_limit(mu, lower_ray_family(parse_sequence_spec("n-1")), 1024)
+    assert report.value == HALF and report.horizon_used == 1024
+    assert requests == list(range(1024 - _WINDOW, 1025))
+    assert len(requests) == _TAIL
+    requests.clear()
+    branch_check(mu, "n-1", 1024)  # orders a and b, tightness, weak limit
+    assert len(requests) == _TAIL
 
 
 # --- branch checks ---

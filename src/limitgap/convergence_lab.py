@@ -848,9 +848,10 @@ def verify_theorem(n_max: int) -> TheoremReport:
     """Walk the decomposition P(X_n=0) = P(X_n=0, Z<n) + P(X_n=0, Z=n) to
     its limit under both evaluation orders.
 
-    Rows for n up to 12 are cross-checked against exhaustive enumeration;
-    a mismatch would mean the closed forms and the oracle disagree, which is
-    a broken build, not a domain error.
+    Every row's ray mass under mu_n is checked against the split
+    probability, and rows for n up to 12 are also cross-checked against
+    exhaustive enumeration; a mismatch would mean the closed forms and the
+    oracle disagree, which is a broken build, not a domain error.
     """
     if not 2 <= n_max <= 20:
         raise NRangeError(f"n_max must lie in [2, 20], got {n_max}")
@@ -878,11 +879,11 @@ def verify_theorem(n_max: int) -> TheoremReport:
                         f"enumeration disagrees with closed form at n={n} for "
                         f"{print_event(event)}: {rat_str(got)} != {rat_str(expected)}"
                     )
-            if ray_mass != split_below:
-                raise RuntimeError(
-                    f"ray mass {rat_str(ray_mass)} != split probability "
-                    f"{rat_str(split_below)} at n={n}"
-                )
+        if ray_mass != split_below:
+            raise RuntimeError(
+                f"ray mass {rat_str(ray_mass)} != split probability "
+                f"{rat_str(split_below)} at n={n}"
+            )
         if last_zero != split_below + split_at:
             raise RuntimeError(f"row decomposition broken at n={n}")
         rows.append(TheoremRow(n, last_zero, split_below, split_at, ray_mass))

@@ -5,7 +5,7 @@ rational probabilities.  The hot paths encode an outcome as the integer v
 whose bit i-1 is X_i, so Y_n is "v != 0", Z_n is v.bit_length() for v > 0
 (and n for the all-zeros outcome, where every index attains the maximum and
 the largest is taken), and the outcome probability depends only on the
-popcount of v.
+popcount of v.  The law of Z_n needs no scan: it has a closed form.
 """
 
 from __future__ import annotations
@@ -76,39 +76,29 @@ def enumerate_outcomes(n: int, p: Fraction = FAIR) -> list[ProcessRow]:
 
 
 def z_distribution(n: int, p: Fraction = FAIR) -> DiscreteMeasure:
-    """The distribution of Z_n obtained by exhaustive enumeration."""
-    _validate_horizon(n)
+    """The distribution of Z_n in closed form, for any bias p = a/d.
+
+    Z_n = n - k < n exactly when flip n - k is 1 and the k flips after it
+    are 0, so that atom carries p*q**k = a*b**k / d**(k+1) with q = b/d;
+    Z_n = n when the last flip is 1 or every flip is 0, mass p + q**n.
+    The total is exactly 1.
+    """
+    if n < 1:
+        raise DomainError(f"horizon must be at least 1, got {n}")
     p = _validate_bias(p)
-    # counts[z][k]: outcomes with Z_n = z and popcount k
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for v in range(1 << n):
-        z = v.bit_length() if v else n
-        counts[z][v.bit_count()] += 1
-    probs = _popcount_probs(n, p)
-    pairs = []
-    for z in range(1, n + 1):
-        mass = sum(
-            (count * probs[k] for k, count in enumerate(counts[z]) if count),
-            Fraction(0),
-        )
-        if mass:
-            pairs.append((finite(z), mass))
+    a, d = p.numerator, p.denominator
+    b = d - a
+    pairs = [(n - k, Fraction(a * b**k, d ** (k + 1))) for k in range(1, n)]
+    pairs.append((n, p + Fraction(b**n, d**n)))
     return from_mass_pairs(pairs)
 
 
 def mu_closed_form(n: int) -> DiscreteMeasure:
-    """The Z_n distribution for the fair coin in closed form.
+    """The Z_n distribution for the fair coin: z_distribution(n, 1/2).
 
-    Mass 2**-(n-j+1) at each j < n and 2**-1 + 2**-n at j = n; the total is
-    exactly 1.  Valid for p = 1/2 only.
+    Mass 2**-(n-j+1) at each j < n and 2**-1 + 2**-n at j = n.
     """
-    if n < 1:
-        raise DomainError(f"horizon must be at least 1, got {n}")
-    pairs: list[tuple[int, Fraction]] = [
-        (j, Fraction(1, 2 ** (n - j + 1))) for j in range(1, n)
-    ]
-    pairs.append((n, Fraction(1, 2) + Fraction(1, 2**n)))
-    return from_mass_pairs(pairs)
+    return z_distribution(n, FAIR)
 
 
 def lambda_measure() -> DiscreteMeasure:

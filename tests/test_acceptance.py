@@ -10,6 +10,7 @@ which prints one PASS/FAIL line per criterion and exits nonzero on failure.
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 from limitgap.convergence_lab import (
@@ -24,13 +25,12 @@ from limitgap.convergence_lab import (
     weak_limit_identify,
 )
 from limitgap.extended_line import compactify_measure, h
-from limitgap.measure_core import NEG_INF, POS_INF, MeasurableSet, finite
+from limitgap.measure_core import NEG_INF, POS_INF, MeasurableSet, finite, from_mass_pairs
 from limitgap.process_lab import (
     enumerate_outcomes,
     escaped_mass_profile,
     event_probability,
     mu_closed_form,
-    z_distribution,
 )
 
 HALF = F(1, 2)
@@ -42,7 +42,10 @@ def _ray_family():
 
 def test_criterion_01_closed_form_equals_enumeration():
     for n in range(1, 13):
-        assert mu_closed_form(n) == z_distribution(n), f"mismatch at n={n}"
+        law = Counter()
+        for row in enumerate_outcomes(n):
+            law[row.z] += row.outcome.prob
+        assert mu_closed_form(n) == from_mass_pairs(law.items()), f"mismatch at n={n}"
     print("PASS criterion 1: closed form matches exhaustive enumeration, n=1..12")
 
 

@@ -4,18 +4,52 @@ import contextlib
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitgap.cli import PLOT_MAX_N, main
+from limitgap.cli import MEMBER_MAX_N, PLOT_MAX_N, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(argv, shown stdout lines) for each `$ limitgap ...` line in the README's text blocks."""
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", README.read_text(encoding="utf-8"),
+                            re.M | re.S):
+        for example in re.split(r"^\$ limitgap ", block, flags=re.M)[1:]:
+            command, _, shown = example.partition("\n")
+            examples.append((shlex.split(command), shown.rstrip("\n").splitlines()))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_tour_has_its_examples():
+    assert len(README_EXAMPLES) >= 8
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_tour_prints_what_it_shows(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    # The table renderer pads the last column to its width, and the README's
+    # copies lost those trailing spaces; stdout itself must not change.
+    assert [line.rstrip() for line in out.splitlines()] == [line.rstrip() for line in shown]
 
 
 def test_measure_show_json(capsys):
@@ -352,6 +386,33 @@ def test_plotdata_range_check(capsys, n_max, fmt):
     assert err.splitlines() == [f"error: n_max must lie in [1, {PLOT_MAX_N}], got {n_max}"]
 
 
+MEMBER_COMMANDS = {
+    "measure-show": ("measure", "show", "--family", "mu"),
+    "measure-additivity": (
+        "measure", "additivity", "--family", "mu", "--set-a", "I=3", "--set-b", "I=5"),
+    "compactify": ("compactify", "--family", "mu"),
+    "process-escape": ("process", "escape", "--k-max", "0"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("n", [str(MEMBER_MAX_N + 1), "20000"])
+@pytest.mark.parametrize("command", sorted(MEMBER_COMMANDS))
+def test_member_n_range_check(capsys, command, n, fmt):
+    code, out, err = run(capsys, *MEMBER_COMMANDS[command], "--n", n, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: n must be at most {MEMBER_MAX_N}, got {n}"]
+
+
+def test_member_n_accepts_the_bound(capsys):
+    code, out, _ = run(
+        capsys, "measure", "show", "--family", "dirac_n", "--n", str(MEMBER_MAX_N),
+        "--format", "csv")
+    assert code == 0 and out.splitlines() == ["point,mass", f"{MEMBER_MAX_N}/1,1/1"]
+    # mu_n's denominators reach 2**n; CPython prints ints of up to 4,300 digits
+    assert len(str(2**MEMBER_MAX_N)) <= 4300
+
+
 def test_plotdata_accepts_n_max_one(capsys):
     code, out, _ = run(capsys, "plotdata", "--n-max", "1", "--format", "csv")
     assert code == 0 and out.splitlines() == ["n,j,mass", "1,1/1,1/1"]
@@ -504,25 +565,32 @@ FUZZ_EVENTS = ["X[N]==0", "X[N]==0 && Z<N", "Y==1 || Z==N", "X[0]==1", "X[99]==1
 
 @st.composite
 def cli_argv(draw):
-    """Any subcommand with small sizes, bad rationals and specs, and bad files."""
+    """Any subcommand with small sizes, bad rationals and specs, and bad files.
+
+    The four commands that print one member also try an n just past
+    MEMBER_MAX_N.
+    """
     def pick(options):
         return draw(st.sampled_from(options))
 
     def size():
         return str(draw(st.integers(-3, 9)))
 
+    def member_n():
+        return str(draw(st.integers(-3, 9) | st.just(MEMBER_MAX_N + 1)))
+
     def p():
         return ["--p", pick(FUZZ_RATIONALS)] if draw(st.booleans()) else []
 
     commands = {
-        "measure show": lambda: ["--family", pick(FUZZ_FAMILIES), "--n", size()],
+        "measure show": lambda: ["--family", pick(FUZZ_FAMILIES), "--n", member_n()],
         "measure additivity": lambda: [
-            "--family", pick(FUZZ_FAMILIES), "--n", size(),
+            "--family", pick(FUZZ_FAMILIES), "--n", member_n(),
             "--set-a", pick(FUZZ_SET), "--set-b", pick(FUZZ_SET)],
         "process enumerate": lambda: ["--n", size(), *p()],
         "process prob": lambda: ["--n", size(), "--event", pick(FUZZ_EVENTS), *p()],
         "process identities": lambda: ["--n", size(), *p()],
-        "process escape": lambda: ["--n", size(), "--k-max", size()],
+        "process escape": lambda: ["--n", member_n(), "--k-max", size()],
         "converge tightness": lambda: [
             "--family", pick(FUZZ_FAMILIES), "--epsilon", pick(FUZZ_RATIONALS),
             "--horizon", size()],
@@ -535,7 +603,7 @@ def cli_argv(draw):
             "--horizon", size()],
         "converge branches": lambda: [
             "--family", pick(FUZZ_FAMILIES), "--xs", pick(FUZZ_XS), "--horizon", size()],
-        "compactify": lambda: ["--family", pick(FUZZ_FAMILIES), "--n", size()],
+        "compactify": lambda: ["--family", pick(FUZZ_FAMILIES), "--n", member_n()],
         "theorem verify": lambda: ["--n-max", size()],
         "plotdata": lambda: ["--n-max", size()],
     }

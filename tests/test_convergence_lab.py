@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from limitgap import convergence_lab
 from limitgap.convergence_lab import (
     _TAIL,
     _WINDOW,
@@ -24,6 +25,7 @@ from limitgap.convergence_lab import (
     table_family,
     integral_limit,
     tightness_probe,
+    verify_theorem,
     weak_limit_identify,
 )
 from limitgap.errors import (
@@ -647,3 +649,18 @@ def test_random_ray_specs_never_split_orders_for_the_tight_family():
         report = branch_check(fam, spec, 64)
         if report.holds is not None:
             assert report.holds is True
+
+
+# --- the theorem walk ---
+
+
+def test_theorem_checks_the_ray_mass_past_the_enumeration_rows(monkeypatch):
+    # a law that is wrong only at n = 15, past the n <= 12 enumeration check
+    monkeypatch.setattr(
+        convergence_lab,
+        "mu_closed_form",
+        lambda n: dirac(finite(n)) if n == 15 else mu_closed_form(n),
+    )
+    with pytest.raises(RuntimeError, match="n=15"):
+        verify_theorem(20)
+    assert len(verify_theorem(14).rows) == 13

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -82,7 +83,35 @@ def test_two_flip_argmax_masses_frozen():
 
 def test_closed_form_matches_enumeration_up_to_ten():
     for n in range(1, 11):
-        assert mu_closed_form(n) == z_distribution(n)
+        law = Counter()
+        for row in enumerate_outcomes(n):
+            law[row.z] += row.outcome.prob
+        assert mu_closed_form(n) == from_mass_pairs(law.items())
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_z_law_matches_a_brute_force_tally(n):
+    # outcomes per (Z_n, number of ones), counted over itertools.product
+    tally = Counter(
+        (_oracle_stats(bits)[1], sum(bits))
+        for bits in itertools.product((0, 1), repeat=n)
+    )
+    for p in (F(1, 2), F(1, 3), F(5, 7), F(1, 10), F(9, 10)):
+        law = Counter()
+        for (z, ones), count in tally.items():
+            law[z] += count * p**ones * (1 - p) ** (n - ones)
+        assert z_distribution(n, p) == from_mass_pairs(law.items()), (n, p)
+
+
+def test_z_law_needs_no_enumeration_cap():
+    p = F(1, 3)
+    law = z_distribution(60, p)
+    assert law.total == 1
+    assert law.mass_at(finite(60)) == p + (1 - p) ** 60
+    with pytest.raises(DomainError):
+        z_distribution(0, p)
+    with pytest.raises(DomainError, match=r"strictly in \(0, 1\)"):
+        z_distribution(60, F(1))
 
 
 def test_closed_form_small_cases():

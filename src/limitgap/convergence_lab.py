@@ -594,7 +594,7 @@ def integral_limit(
                 horizon_used=scan,
                 witness=f"integral over the identified weak limit is "
                 f"{candidate:.17g}; the empirical error fell from "
-                f"{half_err:.3g} at n={scan // 2} to {last_err:.3g} at n={scan}",
+                f"{half_err:.3g} at n={scan // 2 + 1} to {last_err:.3g} at n={scan}",
             )
     half = series[scan // 2 :]
     spread_half = max(half) - min(half)

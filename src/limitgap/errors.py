@@ -70,8 +70,8 @@ class BadSequenceSpecError(LimitGapError):
 
 
 class NRangeError(LimitGapError):
-    """A walkthrough or plot horizon n_max, or the n of a printed member,
-    lies outside its allowed range."""
+    """A walkthrough or plot horizon n_max, the n of a printed member, or
+    the n of a printed enumeration lies outside its allowed range."""
 
 
 class DomainError(LimitGapError):

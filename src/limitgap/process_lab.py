@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, KRangeError, NTooLargeError
 from .event_dsl import EventPredicate, compile_event, parse_event
@@ -58,21 +58,41 @@ def _popcount_probs(n: int, p: Fraction) -> list[Fraction]:
     return [p**k * q ** (n - k) for k in range(n + 1)]
 
 
-def enumerate_outcomes(n: int, p: Fraction = FAIR) -> list[ProcessRow]:
-    """All 2**n process rows in increasing order of the encoded outcome."""
+def _bit_table(width: int) -> list[tuple[int, ...]]:
+    """table[v] is the bit tuple of v < 2**width, lowest bit first, built by doubling."""
+    table: list[tuple[int, ...]] = [()]
+    for _ in range(width):
+        table = [b + (0,) for b in table] + [b + (1,) for b in table]
+    return table
+
+
+def iter_outcomes(n: int, p: Fraction = FAIR) -> Iterator[ProcessRow]:
+    """All 2**n process rows in increasing order of the encoded outcome, one at a time.
+
+    The arguments are checked at the call, not on the first row.  Row v's bit
+    tuple is joined from two tables of 2**(n/2) tuples each, one for its low
+    and one for its high bits, so no more than O(2**(n/2)) tuples are held.
+    """
     _validate_horizon(n)
     p = _validate_bias(p)
+    return _rows(n, p)
+
+
+def _rows(n: int, p: Fraction) -> Iterator[ProcessRow]:
     probs = _popcount_probs(n, p)
-    # all_bits[v] is the bit tuple of v, built one flip at a time by doubling.
-    all_bits: list[tuple[int, ...]] = [()]
-    for _ in range(n):
-        all_bits = [b + (0,) for b in all_bits] + [b + (1,) for b in all_bits]
-    rows = []
-    for v, bits in enumerate(all_bits):
+    half = n // 2
+    mask = (1 << half) - 1
+    lo_bits, hi_bits = _bit_table(half), _bit_table(n - half)
+    for v in range(1 << n):
         y = 1 if v else 0
         z = v.bit_length() if v else n
-        rows.append(ProcessRow(Outcome(bits, p, probs[v.bit_count()]), y, z))
-    return rows
+        bits = lo_bits[v & mask] + hi_bits[v >> half]
+        yield ProcessRow(Outcome(bits, p, probs[v.bit_count()]), y, z)
+
+
+def enumerate_outcomes(n: int, p: Fraction = FAIR) -> list[ProcessRow]:
+    """All 2**n process rows in increasing order of the encoded outcome: iter_outcomes as a list."""
+    return list(iter_outcomes(n, p))
 
 
 def z_distribution(n: int, p: Fraction = FAIR) -> DiscreteMeasure:

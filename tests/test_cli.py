@@ -2,17 +2,19 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitgap.cli import MEMBER_MAX_N, PLOT_MAX_N, main
+from limitgap.cli import ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, main
 
 
 def run(capsys, *argv):
@@ -137,6 +139,59 @@ def test_enumerate_outputs_all_rows_as_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 8
     assert rows[3] == {"bits": "110", "prob": "1/8", "y": "1", "z": "2"}
+
+
+# sha256 of `process enumerate` stdout, recorded when every row was built up front
+ENUMERATE_DIGESTS = {
+    ("1", "1/2", "csv"): "29b9f914db4cd0697eed47928fc119727065df2dfd25453f70efd5898c6af5dd",
+    ("1", "1/2", "table"): "a80ba960ef9dfd2a16a9865296a341ea74d4b095122331c95edb4213cc6f1413",
+    ("1", "1/2", "json"): "d906f5406efbe46221b859e4eb1db8e0bfb4abcfdc27c895b4308ca1a3b33a4d",
+    ("1", "1/3", "csv"): "3bdd3632f8fdfb47800202c6796a3db1aada82f2339b3035a8cb8a8e22125324",
+    ("1", "1/3", "table"): "da953e832265fabbeb7daea59cb1064f5b1826f7fe4d00e52cace53b5d1c2db4",
+    ("1", "1/3", "json"): "140defcf68658263cd17e2bf6c24737dfe53b209144d99ec51a911f0935ba685",
+    ("5", "1/2", "csv"): "b907063c8e05d24eb9aaa8a6ae75ca9c154bc96ba69014d9f455a6e0871a050f",
+    ("5", "1/2", "table"): "343530ebade6cb829142017641cb1f55c5a07f6ab92eada4ebda701ecfd4c8da",
+    ("5", "1/2", "json"): "9c955bc5332ccada5a810bd994cc12443654e3d9b57015d32064e6996342b20d",
+    ("5", "1/3", "csv"): "c8135721689bb18139882770ae6a216eefb5f1fbd76bf0823eb12955c831928f",
+    ("5", "1/3", "table"): "ee169497a1af172a485b99276d87053a414aa7d190a37c4b43b3e363f13dbe89",
+    ("5", "1/3", "json"): "d060dfe4d564dda765c150244c42cbdb9bfd0d8bafd4c89730a59424837820f1",
+    ("12", "1/2", "csv"): "799f26a0406456cca229cb688bbf47d8614e40389f226d01c187921fb98a1313",
+    ("12", "1/2", "table"): "763eb6222fdfd34497e319af36e0a07e5fa66cde9d0af1aefbf2e13e47883346",
+    ("12", "1/2", "json"): "5e305dff0b045814c8ffb213971cabe865a4fb1522c57d4ccbb1ec07f9938dec",
+    ("12", "1/3", "csv"): "92fd11324735d760eb2898e76ae5a41ac2b376cf9e84055f7cf69eef3e71da40",
+    ("12", "1/3", "table"): "a1cd0de416969c2bc101105029bb7e1b0861511e60379faf8af2fcef574d6f65",
+    ("12", "1/3", "json"): "000cbeec35dc587a5fb4a05890a877e117c752de1d86ba04a088208ade4f5e81",
+}
+
+
+@pytest.mark.parametrize("n, p, fmt", list(ENUMERATE_DIGESTS))
+def test_enumerate_prints_the_pinned_bytes(capsys, n, p, fmt):
+    code, out, err = run(capsys, "process", "enumerate", "--n", n, "--p", p, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[n, p, fmt]
+
+
+def test_enumerate_csv_streams_its_rows():
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["process", "enumerate", "--n", "14", "--format", "csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # Peak over stdout bytes: 21.8 when all 2**14 rows were held first, 4.9 streamed.
+    assert peak < 10 * len(out.getvalue())
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_enumerate_n_range_check(capsys, fmt):
+    n = str(ENUM_MAX_N + 1)
+    code, out, err = run(capsys, "process", "enumerate", "--n", n, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: n must be at most {ENUM_MAX_N}, got {n}"]
+    assert ENUM_MAX_N >= 18  # the benchmark enumerates n = 18
 
 
 def test_prob_prints_the_value_first(capsys):
@@ -568,7 +623,7 @@ def cli_argv(draw):
     """Any subcommand with small sizes, bad rationals and specs, and bad files.
 
     The four commands that print one member also try an n just past
-    MEMBER_MAX_N.
+    MEMBER_MAX_N, and `process enumerate` one just past ENUM_MAX_N.
     """
     def pick(options):
         return draw(st.sampled_from(options))
@@ -579,6 +634,9 @@ def cli_argv(draw):
     def member_n():
         return str(draw(st.integers(-3, 9) | st.just(MEMBER_MAX_N + 1)))
 
+    def enum_n():
+        return str(draw(st.integers(-3, 9) | st.just(ENUM_MAX_N + 1)))
+
     def p():
         return ["--p", pick(FUZZ_RATIONALS)] if draw(st.booleans()) else []
 
@@ -587,7 +645,7 @@ def cli_argv(draw):
         "measure additivity": lambda: [
             "--family", pick(FUZZ_FAMILIES), "--n", member_n(),
             "--set-a", pick(FUZZ_SET), "--set-b", pick(FUZZ_SET)],
-        "process enumerate": lambda: ["--n", size(), *p()],
+        "process enumerate": lambda: ["--n", enum_n(), *p()],
         "process prob": lambda: ["--n", size(), "--event", pick(FUZZ_EVENTS), *p()],
         "process identities": lambda: ["--n", size(), *p()],
         "process escape": lambda: ["--n", member_n(), "--k-max", size()],

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -390,6 +391,19 @@ def test_weak_limit_route_rescues_slow_convergence():
     )
     assert report.value == pytest.approx(1.0)
     assert "weak limit" in report.witness
+
+
+@pytest.mark.parametrize("horizon", [32, 33, 64])
+def test_weak_limit_witness_names_the_index_of_each_error(horizon):
+    from limitgap.extended_line import h
+
+    report = integral_limit(builtin_family("mu"), lambda x: h(x).value, horizon)
+    found = re.search(r"fell from (\S+) at n=(\d+) to (\S+) at n=(\d+)$", report.witness)
+    assert found, report.witness
+    for error, n in ((found[1], int(found[2])), (found[3], int(found[4]))):
+        # s_n by hand: h integrated over mu_n atom by atom
+        s_n = sum(float(mass) * h(point).value for point, mass in mu_closed_form(n).atoms)
+        assert f"{abs(s_n - report.value):.3g}" == error, (n, report.witness)
 
 
 def test_unevaluable_points_raise_evaluation_errors():

@@ -14,6 +14,7 @@ from limitgap.process_lab import (
     enumerate_outcomes,
     escaped_mass_profile,
     event_probability,
+    iter_outcomes,
     lambda_measure,
     mu_closed_form,
     verify_process_identities,
@@ -47,6 +48,26 @@ def test_enumeration_matches_the_oracle(n, p):
     assert len(rows) == 2**n == len(oracle)
     for row in rows:
         assert oracle[row.outcome.bits] == (row.y, row.z, row.outcome.prob)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stream_matches_the_oracle_row_by_row(n):
+    for p in (F(1, 2), F(1, 3), F(5, 7)):
+        oracle = _oracle_rows(n, p)
+        rows = list(iter_outcomes(n, p))
+        assert len(rows) == len(oracle) == 2**n
+        for v, row in enumerate(rows):
+            # row v carries the bits of v, lowest bit first
+            assert row.outcome.bits == tuple((v >> i) & 1 for i in range(n))
+            assert row.outcome.p == p
+            assert oracle[row.outcome.bits] == (row.y, row.z, row.outcome.prob)
+
+
+@pytest.mark.parametrize(
+    "args, error", [((0,), DomainError), ((25,), NTooLargeError), ((3, 1), DomainError)])
+def test_stream_checks_its_arguments_at_the_call(args, error):
+    with pytest.raises(error):
+        iter_outcomes(*args)  # no next(): the generator is never started
 
 
 def test_single_flip_rows_are_explicit():

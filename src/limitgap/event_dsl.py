@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import EventParseError, IndexOutOfRangeError
 
@@ -52,7 +52,7 @@ class Coord:
     index: int | None  # X[index], or X[N] when None
 
 
-Term = Union[Lit, Var, Coord]
+Term = Lit | Var | Coord
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +79,7 @@ class Or:
     rhs: "Node"
 
 
-Node = Union[Cmp, Not, And, Or]
+Node = Cmp | Not | And | Or
 
 
 @dataclass(frozen=True, slots=True)

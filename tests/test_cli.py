@@ -8,13 +8,16 @@ import json
 import re
 import shlex
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitgap.cli import ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, main
+from limitgap.cli import ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, _key_value_rows, build_parser, main
+from limitgap.measure_core import rat_str
+from limitgap.process_lab import iter_outcomes
 
 
 def run(capsys, *argv):
@@ -161,6 +164,8 @@ ENUMERATE_DIGESTS = {
     ("12", "1/3", "csv"): "92fd11324735d760eb2898e76ae5a41ac2b376cf9e84055f7cf69eef3e71da40",
     ("12", "1/3", "table"): "a1cd0de416969c2bc101105029bb7e1b0861511e60379faf8af2fcef574d6f65",
     ("12", "1/3", "json"): "000cbeec35dc587a5fb4a05890a877e117c752de1d86ba04a088208ade4f5e81",
+    ("16", "1/2", "csv"): "2cf3a4baf8407b10c6fb95c439ba341344b49340f321d66dc28874c5297a62c8",
+    ("16", "1/3", "csv"): "625863e6e6687857e1a360f0a0c02e7c81a6b3a6dea465ac27d7a62711c0658f",
 }
 
 
@@ -169,6 +174,61 @@ def test_enumerate_prints_the_pinned_bytes(capsys, n, p, fmt):
     code, out, err = run(capsys, "process", "enumerate", "--n", n, "--p", p, "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[n, p, fmt]
+
+
+@pytest.mark.parametrize("p", ["1/2", "1/3", "5/7"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumerate_csv_rows_match_the_stream_row_by_row(capsys, n, p):
+    code, out, err = run(capsys, "process", "enumerate", "--n", str(n), "--p", p, "--format", "csv")
+    assert code == 0 and err == ""
+    printed = list(csv.DictReader(io.StringIO(out)))
+    rows = list(iter_outcomes(n, Fraction(p)))
+    assert len(printed) == len(rows) == 2**n
+    for record, row in zip(printed, rows):
+        assert record == {
+            "bits": "".join(map(str, row.outcome.bits)),
+            "prob": rat_str(row.outcome.prob),
+            "y": str(row.y),
+            "z": str(row.z),
+        }
+
+
+def _dictwriter_csv(output):
+    """The csv.DictWriter rendering of a handler's rows, or of its key/value lines."""
+    rows = list(output.rows) if output.rows is not None else _key_value_rows(output.data)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+CSV_ORACLE_ARGVS = [
+    *(("process", "enumerate", "--n", str(n), "--p", p)
+      for n in range(1, 7) for p in ("1/2", "1/3", "5/7")),
+    ("plotdata", "--n-max", "6"),
+    ("measure", "show", "--family", "mu", "--n", "7"),
+    ("measure", "show", "--family", "@{family}", "--n", "2"),
+    ("compactify", "--family", "@{family}", "--n", "2"),
+    ("process", "escape", "--n", "9"),
+    ("theorem", "verify", "--n-max", "14"),
+    ("converge", "branches", "--family", "mu", "--xs", "n-1", "--horizon", "32"),
+]
+
+
+@pytest.mark.parametrize("argv", CSV_ORACLE_ARGVS, ids=" ".join)
+def test_csv_matches_a_dictwriter_rendering(capsys, tmp_path, argv):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"measures": [
+        {"atoms": [{"point": "0", "mass": "1"}]},
+        {"atoms": [{"point": "+inf", "mass": "1/3"}, {"point": "-inf", "mass": "1/6"},
+                   {"point": "1/2", "mass": "1/2"}]},
+    ]}))
+    argv = [arg.format(family=family) for arg in argv] + ["--format", "csv"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    args = build_parser().parse_args(argv)
+    assert out == _dictwriter_csv(args.handler(args))
 
 
 def test_enumerate_csv_streams_its_rows():

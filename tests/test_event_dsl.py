@@ -1,9 +1,14 @@
 """Parsing, printing, and evaluation of event expressions."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import limitgap
 from limitgap.errors import EventParseError, IndexOutOfRangeError
 from limitgap.event_dsl import (
     And,
@@ -242,3 +247,29 @@ def test_error_position_spans_lines():
 def test_error_message_carries_the_position():
     with pytest.raises(EventParseError, match=r"line 1, column 3"):
         parse_event("Y<")
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+def old_refs():
+    pkg = importlib.import_module("limitgap")
+    return [weakref.ref(pkg.event_dsl.Lit), weakref.ref(pkg.errors.DomainError)]
+refs = old_refs()
+for name in [m for m in sys.modules if m == "limitgap" or m.startswith("limitgap.")]:
+    del sys.modules[name]
+importlib.import_module("limitgap")
+gc.collect()
+print([ref() is None for ref in refs])
+"""
+
+
+def test_a_reimported_package_frees_its_old_classes():
+    # typing caches every Union[...] it builds, so a Union alias of these classes
+    # would keep each old generation of the package alive.
+    src = str(Path(limitgap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _REIMPORT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[True, True]"

@@ -13,12 +13,15 @@ Grammar (whitespace insignificant, keywords case-sensitive):
 X[i] is the i-th flip (i >= 1), X[N] the last one; Y is the running maximum,
 Z the last index attaining it, N the horizon.  Indices are integer literals
 or the symbol N only — X[Z] is deliberately not expressible, which keeps
-evaluation first-order and the grammar LL(1).
+evaluation first-order and the grammar LL(1).  INT is a run of decimal (Unicode Nd)
+digits.  An event has at most MAX_TOKENS = 256 tokens, counted as printed, with "!"
+as "!(...)": room for 126 nested parentheses, 84 nested "!" or 64 comparisons.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +38,12 @@ _CMP_FUNCS = {
 
 _TERM_EXPECTED = ("integer", "X", "Y", "Z", "N")
 _START_EXPECTED = ("!", "(") + _TERM_EXPECTED
+
+MAX_TOKENS = 256
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<int>\d+)|(?P<cmp>[=!<>]=|[<>])"
+    r"|(?P<punct>&&|\|\||[!()\[\]])|(?P<name>[XYZN])|(?P<bad>.)"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,56 +124,22 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            col, i = col + 1, i + 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = src[i : i + 2]
-        if two in ("==", "!=", "<=", ">="):
-            tokens.append(_Token("cmp", two, line, start_col))
-            col, i = col + 2, i + 2
-            continue
-        if two in ("&&", "||"):
-            tokens.append(_Token(two, two, line, start_col))
-            col, i = col + 2, i + 2
-            continue
-        if ch in "<>":
-            tokens.append(_Token("cmp", ch, line, start_col))
-            col, i = col + 1, i + 1
-            continue
-        if ch in "!()[]":
-            tokens.append(_Token(ch, ch, line, start_col))
-            col, i = col + 1, i + 1
-            continue
-        if ch in "XYZN":
-            tokens.append(_Token("name", ch, line, start_col))
-            col, i = col + 1, i + 1
-            continue
-        if ch in "&|":
-            raise EventParseError(
-                f"lone {ch!r}", line, start_col, (ch + ch,)
-            )
-        if ch == "=":
-            raise EventParseError("lone '='", line, start_col, ("==",))
-        raise EventParseError(
-            f"unexpected character {ch!r}", line, start_col, _START_EXPECTED
-        )
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start, size = 1, 0, 0
+    for m in _TOKEN_RE.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            if text in "&|=":
+                raise EventParseError(f"lone {text!r}", line, col, (text * 2,))
+            raise EventParseError(f"unexpected character {text!r}", line, col, _START_EXPECTED)
+        elif kind != "space":
+            # a "!" with no "(" after it counts 3, as the printer writes "!(...)"
+            size += 3 if tokens and tokens[-1].kind == "!" and text != "(" else 1
+            if size > MAX_TOKENS:
+                raise EventParseError(f"over {MAX_TOKENS} tokens", line, col, ("end of input",))
+            tokens.append(_Token(text if kind == "punct" else kind, text, line, col))
+    tokens.append(_Token("eof", "", line, len(src) - line_start + 1))
     return tokens
 
 
@@ -229,11 +204,18 @@ class _Parser:
         rhs = self.parse_term()
         return Cmp(op, lhs, rhs)
 
+    def parse_int(self) -> int:
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            message = f"integer literal of {len(tok.text)} digits is too long"
+            raise EventParseError(message, tok.line, tok.col, ("shorter integer",)) from None
+
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok.kind == "int":
-            self.advance()
-            return Lit(int(tok.text))
+            return Lit(self.parse_int())
         if tok.kind == "name":
             self.advance()
             if tok.text != "X":
@@ -241,8 +223,7 @@ class _Parser:
             self.expect("[")
             idx_tok = self.peek()
             if idx_tok.kind == "int":
-                self.advance()
-                index = int(idx_tok.text)
+                index = self.parse_int()
                 if index < 1:
                     raise EventParseError(
                         f"coordinate index must be at least 1, found {index}",

@@ -20,6 +20,7 @@ from .event_dsl import EventPredicate, compile_event, parse_event
 from .measure_core import DiscreteMeasure, finite, from_mass_pairs, rat_str
 
 MAX_ENUM_N = 24
+MAX_LIST_N = 20  # enumerate_outcomes(20) peaks near 400 MB; each step up doubles it
 
 FAIR = Fraction(1, 2)
 
@@ -91,8 +92,17 @@ def _rows(n: int, p: Fraction) -> Iterator[ProcessRow]:
 
 
 def enumerate_outcomes(n: int, p: Fraction = FAIR) -> list[ProcessRow]:
-    """All 2**n process rows in increasing order of the encoded outcome: iter_outcomes as a list."""
-    return list(iter_outcomes(n, p))
+    """All 2**n process rows in increasing order of the encoded outcome: iter_outcomes as a list.
+
+    Capped at n = MAX_LIST_N before any row is built; iter_outcomes streams up to MAX_ENUM_N.
+    """
+    rows = iter_outcomes(n, p)
+    if n > MAX_LIST_N:
+        raise NTooLargeError(
+            f"horizon {n} exceeds the list cap {MAX_LIST_N} (2**{n} rows held at once);"
+            " iter_outcomes yields them one at a time"
+        )
+    return list(rows)
 
 
 def z_distribution(n: int, p: Fraction = FAIR) -> DiscreteMeasure:

@@ -675,7 +675,8 @@ FUZZ_SET = ["I=1/2", "I=abc", "I=1/0", "point=1", "point=+inf", "point=x",
 FUZZ_SETS = ["I(n-1)", "I(n)", "I(1/n)", "I(n^2)", "I()", "@{dir}/family.json", *FUZZ_SET]
 FUZZ_XS = ["n-1", "n", "1/n", "1/2", "n^2", "", "x"]
 FUZZ_EVENTS = ["X[N]==0", "X[N]==0 && Z<N", "Y==1 || Z==N", "X[0]==1", "X[99]==1",
-               "Y==", "((", ""]
+               "Y==", "((", "", "X[²]==1", "Y==" + "9" * 5000, "(" * 300 + "Y==1" + ")" * 300,
+               "Y==1 && " * 2999 + "Y==1"]
 
 
 @st.composite

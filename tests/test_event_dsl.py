@@ -4,13 +4,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limitgap
 from limitgap.errors import EventParseError, IndexOutOfRangeError
 from limitgap.event_dsl import (
+    MAX_TOKENS,
     And,
     Cmp,
     Coord,
@@ -23,7 +27,7 @@ from limitgap.event_dsl import (
     parse_event,
     print_event,
 )
-from limitgap.process_lab import enumerate_outcomes
+from limitgap.process_lab import enumerate_outcomes, event_probability
 
 
 def test_parses_conjunction_of_comparisons():
@@ -247,6 +251,148 @@ def test_error_position_spans_lines():
 def test_error_message_carries_the_position():
     with pytest.raises(EventParseError, match=r"line 1, column 3"):
         parse_event("Y<")
+
+
+_START = ("!", "(", "integer", "X", "Y", "Z", "N")
+
+
+@pytest.mark.parametrize(
+    "src, message, line, col, expected",
+    [
+        ("Y==0 & Z==1", "lone '&' at line 1, column 6", 1, 6, ("&&",)),
+        ("Y==0 | Z==1", "lone '|' at line 1, column 6", 1, 6, ("||",)),
+        ("Y = 0", "lone '=' at line 1, column 3", 1, 3, ("==",)),
+        ("&", "lone '&' at line 1, column 1", 1, 1, ("&&",)),
+        ("x<1", "unexpected character 'x' at line 1, column 1", 1, 1, _START),
+        ("Y==é", "unexpected character 'é' at line 1, column 4", 1, 4, _START),
+        ("Y==\f1", "unexpected character '\\x0c' at line 1, column 4", 1, 4, _START),
+        ("Y==\xa01", "unexpected character '\\xa0' at line 1, column 4", 1, 4, _START),
+        ("Y==1 &&\n  Z & 1", "lone '&' at line 2, column 5", 2, 5, ("&&",)),
+        ("Y==1 ||\n\t|", "lone '|' at line 2, column 2", 2, 2, ("||",)),
+        ("Y==1\n=", "lone '=' at line 2, column 1", 2, 1, ("==",)),
+        ("Y==1 &&\n  Z @", "unexpected character '@' at line 2, column 5", 2, 5, _START),
+        ("Y==1\r\né", "unexpected character 'é' at line 2, column 1", 2, 1, _START),
+        ("Y<", "expected a term, found 'end of input' at line 1, column 3", 1, 3, _START[2:]),
+        ("Y==0 &&\n  ", "expected a term, found 'end of input' at line 2, column 3", 2, 3,
+         _START[2:]),
+        ("X[", "expected a coordinate index, found 'end of input' at line 1, column 3", 1, 3,
+         ("positive integer", "N")),
+        ("Y==1 &&\n\tX[1", "expected ']', found '' at line 2, column 5", 2, 5, ("]",)),
+        ("   \n  ", "empty event expression at line 1, column 1", 1, 1, _START),
+    ],
+)
+def test_lexer_errors_and_the_end_of_input_keep_their_positions(src, message, line, col, expected):
+    with pytest.raises(EventParseError) as exc_info:
+        parse_event(src)
+    err = exc_info.value
+    assert (str(err), err.line, err.col, err.expected) == (message, line, col, expected)
+
+
+@pytest.mark.parametrize("src, col", [("X[²]==1", 3), ("Y==¹", 4), ("Y==1 && Z<N²", 12)])
+def test_digits_that_are_not_decimal_are_unexpected_characters(src, col):
+    with pytest.raises(EventParseError, match="unexpected character") as exc_info:
+        parse_event(src)
+    assert (exc_info.value.line, exc_info.value.col) == (1, col)
+
+
+def test_any_decimal_digit_reads_as_its_value():
+    assert parse_event("X[٣]==١").root == Cmp("==", Coord(3), Lit(1))
+
+
+@pytest.mark.parametrize("prefix, line, col", [("Y<", 1, 3), ("Y==1 &&\n X[", 2, 4)])
+def test_an_integer_too_long_for_int_is_a_parse_error_at_the_literal(prefix, line, col):
+    digits = sys.get_int_max_str_digits()
+    src = prefix + "9" * (digits + 1) + ("]==1" if prefix.endswith("[") else "")
+    with pytest.raises(EventParseError, match=f"{digits + 1} digits is too long") as exc_info:
+        parse_event(src)
+    assert (exc_info.value.line, exc_info.value.col) == (line, col)
+    e = parse_event(prefix + "9" * digits + ("]==1" if prefix.endswith("[") else ""))
+    assert parse_event(print_event(e)) == e
+
+
+# The longest events the cap admits, one per way of nesting.
+_AT_THE_CAP = {
+    "parentheses": "(" * 126 + "Y==1" + ")" * 126,
+    "bare-nots": "!" * 84 + "Y==1",
+    "parenthesised-nots": "!(" * 84 + "Y==1" + ")" * 84,
+    "and-chain": " && ".join(["Y==1"] * 64),
+    "or-chain": " || ".join(["Y==1"] * 64),
+}
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("src", list(_AT_THE_CAP.values()), ids=list(_AT_THE_CAP))
+def test_an_event_at_the_cap_runs_in_half_the_free_stack(src):
+    depth, limit = _stack_depth(), sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + (limit - depth) // 2)
+    try:
+        e = parse_event(src)
+        assert parse_event(print_event(e)) == e
+        assert e.max_coord_index() == 0
+        assert event_probability(2, Fraction(1, 2), e) in (Fraction(1, 4), Fraction(3, 4))
+        assert eval_event(e, enumerate_outcomes(2)[1]) in (False, True)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize(
+    "src, col",
+    [
+        ("(" * 127 + "Y==1" + ")" * 127, 258),
+        ("!" * 85 + "Y==1", 87),
+        ("!(" * 85 + "Y==1" + ")" * 85, 258),
+        (" && ".join(["Y==1"] * 65), 513),
+        ("Y==1 && " * 3000 + "Y==1", 513),
+    ],
+    ids=["parentheses", "bare-nots", "parenthesised-nots", "and-chain", "long-chain"],
+)
+def test_an_event_past_the_cap_is_refused_at_its_first_token_too_many(src, col):
+    with pytest.raises(EventParseError, match=f"over {MAX_TOKENS} tokens") as exc_info:
+        parse_event(src)
+    assert (exc_info.value.line, exc_info.value.col) == (1, col)
+
+
+_TERMS = ["X[1]", "X[N]", "X[٣]", "Y", "Z", "N", "0", "1", "007"]
+_SPACE = st.sampled_from(["", " ", "\n", "\t", "\r\n"])
+_COMPARISON = st.builds(
+    "{}{}{}{}{}".format, st.sampled_from(_TERMS), _SPACE,
+    st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), _SPACE, st.sampled_from(_TERMS))
+_WELL_FORMED = st.recursive(
+    _COMPARISON,
+    lambda inner: st.one_of(
+        st.builds("!{}{}".format, _SPACE, inner),
+        st.builds("({}{})".format, inner, _SPACE),
+        st.builds("{} {} {}".format, inner, st.sampled_from(["&&", "||"]), inner),
+    ),
+    max_leaves=40,
+)
+_EVENT_TEXT = st.one_of(
+    st.text(st.sampled_from(list("XYZN0123456789=!<>&|()[] \t\r\n\f\v\xa0é٣²")), max_size=40),
+    _WELL_FORMED,
+    _WELL_FORMED.flatmap(lambda s: st.integers(0, len(s)).map(lambda i: s[:i] + s[i + 1:])),
+    st.builds("{}{}".format, st.sampled_from(["Y==", "X[", "Y==1 && Z<"]),
+              st.sampled_from([4300, 4301, 5000]).map(lambda k: "9" * k)),
+    st.integers(0, 400).map(lambda k: "(" * k + "Y==1" + ")" * k),
+    st.integers(0, 300).map(lambda k: "!" * k + "Y==1"),
+    st.integers(0, 300).map(lambda k: "!(" * k + "Y==1" + ")" * k),
+    st.integers(1, 3000).map(lambda k: " && ".join(["Y==1"] * k)),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(src=_EVENT_TEXT)
+def test_any_text_parses_to_an_event_that_prints_back_or_fails_to_parse(src):
+    try:
+        e = parse_event(src)
+    except EventParseError:
+        return
+    assert parse_event(print_event(e)) == e
 
 
 _REIMPORT = """

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from limitgap import process_lab
 from limitgap.errors import DomainError, KRangeError, NTooLargeError
 from limitgap.event_dsl import eval_event, parse_event, print_event
 from limitgap.measure_core import finite, from_mass_pairs
@@ -161,6 +162,27 @@ def test_horizon_and_bias_validation():
         enumerate_outcomes(0)
     with pytest.raises(DomainError, match=r"strictly in \(0, 1\)"):
         enumerate_outcomes(3, F(1))
+
+
+@pytest.mark.parametrize("n", [21, 24])
+def test_the_list_api_stops_at_twenty_before_building_a_row(monkeypatch, n):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+        yield
+
+    monkeypatch.setattr(process_lab, "_rows", no_rows)
+    with pytest.raises(NTooLargeError, match="iter_outcomes"):
+        enumerate_outcomes(n)
+    iter_outcomes(n)  # the stream, event_probability and the identities keep 24
+
+
+@pytest.mark.parametrize(
+    "call",
+    [iter_outcomes, verify_process_identities, lambda n: event_probability(n, F(1, 2), "Y==1")],
+)
+def test_the_scans_keep_the_enumeration_cap_of_twenty_four(call):
+    with pytest.raises(NTooLargeError, match="enumeration cap 24"):
+        call(25)
 
 
 def test_event_probability_known_values():

@@ -404,9 +404,20 @@ def _cmd_plotdata(args: argparse.Namespace) -> _Output:
 # parser assembly
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    sub.add_argument("--out", metavar="PATH", default=None)
+def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, kwargs
+
+
+_OUTPUT = (_opt("--format", choices=("table", "json", "csv"), default="table"),
+           _opt("--out", metavar="PATH"))
+
+
+def _leaf(group: Any, name: str, help: str, handler: Callable, *options: tuple) -> None:
+    """Add subcommand `name` to `group`: its options, then --format and --out."""
+    sub = group.add_parser(name, help=help)
+    for flags, kwargs in (*options, *_OUTPUT):
+        sub.add_argument(*flags, **kwargs)
+    sub.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,115 +429,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
-    measure = top.add_parser("measure", help="discrete measures and additivity")
-    measure_sub = measure.add_subparsers(dest="subcommand", required=True)
-    show = measure_sub.add_parser("show", help="print one family member")
-    show.add_argument("--family", required=True)
-    show.add_argument("--n", type=int, default=1)
-    _add_common(show)
-    show.set_defaults(handler=_cmd_measure_show)
-    add = measure_sub.add_parser(
-        "additivity", help="is mass(A) + mass(B) the mass of an event?"
-    )
-    add.add_argument("--family", required=True)
-    add.add_argument("--n", type=int, default=1)
-    add.add_argument("--set-a", required=True, dest="set_a")
-    add.add_argument("--set-b", required=True, dest="set_b")
-    _add_common(add)
-    add.set_defaults(handler=_cmd_measure_additivity)
+    def group(name: str, help: str) -> Any:
+        return top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    process = top.add_parser("process", help="the coin-flip argmax process")
-    process_sub = process.add_subparsers(dest="subcommand", required=True)
-    enum = process_sub.add_parser("enumerate", help="all 2^n outcome rows")
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--p", type=parse_rational, default=FAIR)
-    _add_common(enum)
-    enum.set_defaults(handler=_cmd_process_enumerate)
-    prob = process_sub.add_parser("prob", help="exact probability of an event")
-    prob.add_argument("--n", type=int, required=True)
-    prob.add_argument("--p", type=parse_rational, default=FAIR)
-    prob.add_argument("--event", required=True)
-    _add_common(prob)
-    prob.set_defaults(handler=_cmd_process_prob)
-    idents = process_sub.add_parser(
-        "identities", help="verify the defining identities on every outcome"
-    )
-    idents.add_argument("--n", type=int, required=True)
-    idents.add_argument("--p", type=parse_rational, default=FAIR)
-    _add_common(idents)
-    idents.set_defaults(handler=_cmd_process_identities)
-    escape = process_sub.add_parser(
-        "escape", help="masses at n-k: the atoms marching off to +inf"
-    )
-    escape.add_argument("--n", type=int, required=True)
-    escape.add_argument("--k-max", type=int, default=None, dest="k_max")
-    _add_common(escape)
-    escape.set_defaults(handler=_cmd_process_escape)
+    # Built per call, so parse_rational is looked up where a tracer can wrap it.
+    family = _opt("--family", required=True)
+    horizon = _opt("--horizon", type=int, default=64)
+    p = _opt("--p", type=parse_rational, default=FAIR)
+    n = _opt("--n", type=int, required=True)
+    member_n = _opt("--n", type=int, default=1)
 
-    converge = top.add_parser("converge", help="weak limits and evaluation orders")
-    converge_sub = converge.add_subparsers(dest="subcommand", required=True)
-    tight = converge_sub.add_parser("tightness", help="uniform mass-bound probe")
-    tight.add_argument("--family", required=True)
-    tight.add_argument("--epsilon", type=parse_rational, required=True)
-    tight.add_argument("--horizon", type=int, default=64)
-    _add_common(tight)
-    tight.set_defaults(handler=_cmd_converge_tightness)
-    limit = converge_sub.add_parser(
-        "limit", help="limiting probability under order (a) or (b)"
-    )
-    limit.add_argument("--family", required=True)
-    limit.add_argument("--sets", required=True)
-    limit.add_argument("--order", choices=("a", "b"), required=True)
-    limit.add_argument("--horizon", type=int, default=64)
-    _add_common(limit)
-    limit.set_defaults(handler=_cmd_converge_limit)
-    weak = converge_sub.add_parser("weaklimit", help="identify the weak limit")
-    weak.add_argument("--family", required=True)
-    weak.add_argument("--horizon", type=int, default=64)
-    _add_common(weak)
-    weak.set_defaults(handler=_cmd_converge_weaklimit)
-    testfn = converge_sub.add_parser(
-        "testfn", help="integrals of a test function along the family"
-    )
-    testfn.add_argument("--family", required=True)
-    testfn.add_argument("--fn", choices=sorted(_TEST_FUNCTIONS), required=True)
-    testfn.add_argument("--horizon", type=int, default=64)
-    _add_common(testfn)
-    testfn.set_defaults(handler=_cmd_converge_testfn)
-    branches = converge_sub.add_parser(
-        "branches",
-        help="both orders on rho_n((-inf, x_n]) against the tightness verdict",
-    )
-    branches.add_argument("--family", required=True)
-    branches.add_argument("--xs", required=True)
-    branches.add_argument("--horizon", type=int, default=64)
-    _add_common(branches)
-    branches.set_defaults(handler=_cmd_converge_branches)
+    measure = group("measure", "discrete measures and additivity")
+    _leaf(measure, "show", "print one family member", _cmd_measure_show, family, member_n)
+    _leaf(measure, "additivity", "is mass(A) + mass(B) the mass of an event?",
+          _cmd_measure_additivity, family, member_n,
+          _opt("--set-a", required=True), _opt("--set-b", required=True))
 
-    compactify = top.add_parser(
-        "compactify", help="push a family member onto [0, 1] through h"
-    )
-    compactify.add_argument("--family", required=True)
-    compactify.add_argument("--n", type=int, default=1)
-    _add_common(compactify)
-    compactify.set_defaults(handler=_cmd_compactify)
+    process = group("process", "the coin-flip argmax process")
+    _leaf(process, "enumerate", "all 2^n outcome rows", _cmd_process_enumerate, n, p)
+    _leaf(process, "prob", "exact probability of an event", _cmd_process_prob,
+          n, p, _opt("--event", required=True))
+    _leaf(process, "identities", "verify the defining identities on every outcome",
+          _cmd_process_identities, n, p)
+    _leaf(process, "escape", "masses at n-k: the atoms marching off to +inf",
+          _cmd_process_escape, n, _opt("--k-max", type=int))
 
-    theorem = top.add_parser("theorem", help="the end-to-end two-route pipeline")
-    theorem_sub = theorem.add_subparsers(dest="subcommand", required=True)
-    verify = theorem_sub.add_parser(
-        "verify", help="per-n decomposition table plus both limit orders"
-    )
-    verify.add_argument("--n-max", type=int, default=12, dest="n_max")
-    _add_common(verify)
-    verify.set_defaults(handler=_cmd_theorem_verify)
+    converge = group("converge", "weak limits and evaluation orders")
+    _leaf(converge, "tightness", "uniform mass-bound probe", _cmd_converge_tightness,
+          family, _opt("--epsilon", type=parse_rational, required=True), horizon)
+    _leaf(converge, "limit", "limiting probability under order (a) or (b)",
+          _cmd_converge_limit, family, _opt("--sets", required=True),
+          _opt("--order", choices=("a", "b"), required=True), horizon)
+    _leaf(converge, "weaklimit", "identify the weak limit", _cmd_converge_weaklimit,
+          family, horizon)
+    _leaf(converge, "testfn", "integrals of a test function along the family",
+          _cmd_converge_testfn, family,
+          _opt("--fn", choices=sorted(_TEST_FUNCTIONS), required=True), horizon)
+    _leaf(converge, "branches",
+          "both orders on rho_n((-inf, x_n]) against the tightness verdict",
+          _cmd_converge_branches, family, _opt("--xs", required=True), horizon)
 
-    plot = top.add_parser(
-        "plotdata", help="segment heights of the argmax law for plotting"
-    )
-    plot.add_argument("--n-max", type=int, default=3, dest="n_max")
-    _add_common(plot)
-    plot.set_defaults(handler=_cmd_plotdata)
-
+    _leaf(top, "compactify", "push a family member onto [0, 1] through h",
+          _cmd_compactify, family, member_n)
+    theorem = group("theorem", "the end-to-end two-route pipeline")
+    _leaf(theorem, "verify", "per-n decomposition table plus both limit orders",
+          _cmd_theorem_verify, _opt("--n-max", type=int, default=12))
+    _leaf(top, "plotdata", "segment heights of the argmax law for plotting",
+          _cmd_plotdata, _opt("--n-max", type=int, default=3))
     return parser
 
 

@@ -399,6 +399,14 @@ class TightnessVerdict:
         }
 
 
+def _scan(horizon: int, fam: MeasureFamily, sets: SetFamily | None = None) -> int:
+    """The number of members a scan reads: horizon, clipped to any table."""
+    if horizon < 2:
+        raise DomainError(f"horizon must be at least 2, got {horizon}")
+    scan = fam.clip_horizon(horizon)
+    return scan if sets is None else min(scan, sets.clip_horizon(horizon))
+
+
 # ---------------------------------------------------------------------------
 # tightness
 
@@ -416,8 +424,7 @@ def tightness_probe(
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise BadEpsilonError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
-    if horizon < 2:
-        raise DomainError(f"horizon must be at least 2, got {horizon}")
+    scan = _scan(horizon, fam)
     if fam.kind == "lambda":
         return TightnessVerdict(
             tight=True,
@@ -450,7 +457,6 @@ def tightness_probe(
             "bounded interval once n passes its right endpoint, so "
             "sup_n rho_n(I^c) = 1 >= epsilon",
         )
-    scan = fam.clip_horizon(horizon)
     finite_points = [
         p
         for n in range(1, scan + 1)
@@ -499,13 +505,11 @@ def weak_limit_identify(fam: MeasureFamily, horizon: int) -> DiscreteMeasure:
     every support point must settle (exact trailing window or exact geometric
     tail); mass not claimed by any finite point goes to +inf.
     """
-    if horizon < 2:
-        raise DomainError(f"horizon must be at least 2, got {horizon}")
+    scan = _scan(horizon, fam)
     if fam.kind == "mu" or fam.kind == "dirac_n":
         return dirac(POS_INF)
     if fam.kind == "lambda":
         return lambda_measure()
-    scan = fam.clip_horizon(horizon)
     if scan < 2:
         raise InconclusiveError("explicit family is too short to scan")
     members = [fam.member(n) for n in range(1, scan + 1)]
@@ -553,9 +557,7 @@ def integral_limit(
     scan; "divergent" when the trailing half spreads by 0.1 or more (two
     subsequence witnesses included); otherwise inconclusive.
     """
-    if horizon < 2:
-        raise DomainError(f"horizon must be at least 2, got {horizon}")
-    scan = fam.clip_horizon(horizon)
+    scan = _scan(horizon, fam)
 
     def integral(m: DiscreteMeasure) -> float:
         acc = 0.0
@@ -660,9 +662,7 @@ def order_b_limit(
     Only the last _TAIL masses up to the scan horizon are computed, since
     they are all the limit detector reads.
     """
-    if horizon < 2:
-        raise DomainError(f"horizon must be at least 2, got {horizon}")
-    scan = min(fam.clip_horizon(horizon), sets.clip_horizon(horizon))
+    scan = _scan(horizon, fam, sets)
     values = [
         fam.member(n).mass_of_set(sets.member(n))
         for n in range(max(1, scan - _WINDOW), scan + 1)
@@ -721,16 +721,8 @@ class BranchReport:
             "tightness": self.tightness.to_dict(),
             "predicted": self.predicted,
             "holds": self.holds,
-            "continuity_mass": (
-                rat_str(self.continuity_mass)
-                if self.continuity_mass is not None
-                else None
-            ),
-            "infinity_mass": (
-                rat_str(self.infinity_mass)
-                if self.infinity_mass is not None
-                else None
-            ),
+            "continuity_mass": _value_json(self.continuity_mass),
+            "infinity_mass": _value_json(self.infinity_mass),
         }
 
 

@@ -24,7 +24,8 @@ class TotalExceedsOneError(LimitGapError):
 
 
 class NTooLargeError(LimitGapError):
-    """Exhaustive enumeration was asked for more than 2**24 outcomes."""
+    """Exhaustive enumeration was asked for more than 2**24 outcomes, or
+    `enumerate_outcomes` for a list past MAX_LIST_N = 20 flips."""
 
 
 class KRangeError(LimitGapError):

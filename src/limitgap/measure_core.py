@@ -137,6 +137,22 @@ def _merge_candidate(cur: Interval, nxt: Interval) -> Interval | None:
     return Interval(cur.lo, cur.lo_closed, hi, hi_closed)
 
 
+def _merged(intervals: Iterable[Interval], points: Iterable[ExtReal]) -> list[Interval]:
+    """The non-empty pieces, points as closed intervals, sorted and merged."""
+    pieces = [iv for iv in intervals if not iv.is_empty]
+    pieces.extend(Interval(p, True, p, True) for p in points)
+    pieces.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
+    merged: list[Interval] = []
+    for piece in pieces:
+        if merged:
+            joined = _merge_candidate(merged[-1], piece)
+            if joined is not None:
+                merged[-1] = joined
+                continue
+        merged.append(piece)
+    return merged
+
+
 @dataclass(frozen=True, slots=True)
 class MeasurableSet:
     """A finite union of intervals plus a finite point set, in normal form.
@@ -156,17 +172,7 @@ class MeasurableSet:
         intervals: Iterable[Interval] = (),
         points: Iterable[ExtReal] = (),
     ) -> MeasurableSet:
-        pieces = [iv for iv in intervals if not iv.is_empty]
-        pieces.extend(Interval(p, True, p, True) for p in points)
-        pieces.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
-        merged: list[Interval] = []
-        for piece in pieces:
-            if merged:
-                joined = _merge_candidate(merged[-1], piece)
-                if joined is not None:
-                    merged[-1] = joined
-                    continue
-            merged.append(piece)
+        merged = _merged(intervals, points)
         solid = tuple(iv for iv in merged if not iv.is_point)
         isolated = tuple(iv.lo for iv in merged if iv.is_point)
         return cls(solid, isolated)
@@ -217,13 +223,6 @@ class MeasurableSet:
             return True
         return any(iv.contains(x) for iv in self.intervals)
 
-    def _all_pieces(self) -> list[Interval]:
-        """Every component as an interval, in increasing order."""
-        pieces = list(self.intervals)
-        pieces.extend(Interval(p, True, p, True) for p in self.points)
-        pieces.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
-        return pieces
-
     def union(self, other: MeasurableSet) -> MeasurableSet:
         return MeasurableSet.from_pieces(
             self.intervals + other.intervals, self.points + other.points
@@ -233,39 +232,22 @@ class MeasurableSet:
         """Complement within "R" (finite points) or "Rbar" (all of R-bar).
 
         The ambient must be named explicitly: R \\ (-inf, x] and
-        R-bar \\ (-inf, x] differ exactly at the two infinities.
+        R-bar \\ (-inf, x] differ exactly at the two infinities, so the R
+        complement is the R-bar complement of the set with both added.
         """
         if ambient == "R":
-            frame = Interval(NEG_INF, False, POS_INF, False)
+            infinities: tuple[ExtReal, ...] = (NEG_INF, POS_INF)
         elif ambient == "Rbar":
-            frame = Interval(NEG_INF, True, POS_INF, True)
+            infinities = ()
         else:
             raise ValueError(f"unknown ambient {ambient!r} (use 'R' or 'Rbar')")
         gaps: list[Interval] = []
-        cursor, cursor_in = frame.lo, frame.lo_closed
-        for piece in self._clipped_to(frame):
+        cursor, cursor_in = NEG_INF, True
+        for piece in _merged(self.intervals, self.points + infinities):
             gaps.append(Interval(cursor, cursor_in, piece.lo, not piece.lo_closed))
             cursor, cursor_in = piece.hi, not piece.hi_closed
-        gaps.append(Interval(cursor, cursor_in, frame.hi, frame.hi_closed))
+        gaps.append(Interval(cursor, cursor_in, POS_INF, True))
         return MeasurableSet.from_pieces(gaps)
-
-    def _clipped_to(self, frame: Interval) -> list[Interval]:
-        clipped = []
-        for piece in self._all_pieces():
-            lo, lo_closed = piece.lo, piece.lo_closed
-            hi, hi_closed = piece.hi, piece.hi_closed
-            if lo < frame.lo:
-                lo, lo_closed = frame.lo, frame.lo_closed
-            elif lo == frame.lo:
-                lo_closed = lo_closed and frame.lo_closed
-            if hi > frame.hi:
-                hi, hi_closed = frame.hi, frame.hi_closed
-            elif hi == frame.hi:
-                hi_closed = hi_closed and frame.hi_closed
-            out = Interval(lo, lo_closed, hi, hi_closed)
-            if not out.is_empty:
-                clipped.append(out)
-        return clipped
 
     def intersection(self, other: MeasurableSet) -> MeasurableSet:
         inside_out = self.complement("Rbar").union(other.complement("Rbar"))

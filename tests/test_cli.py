@@ -7,6 +7,7 @@ import io
 import json
 import re
 import shlex
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -660,6 +661,135 @@ def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload, arg
     assert named.format(path=path) in err and "Traceback" not in err
 
 
+CONVERGE_OPTIONS = {
+    "tightness": ["--epsilon", "1/2"],
+    "limit": ["--sets", "I(n-1)", "--order", "b"],
+    "weaklimit": [],
+    "testfn": ["--fn", "atan"],
+    "branches": ["--xs", "n-1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONVERGE_OPTIONS))
+def test_a_horizon_below_two_exits_with_one_error_line(capsys, command):
+    code, out, err = run(capsys, "converge", command, "--family", "mu",
+                         *CONVERGE_OPTIONS[command], "--horizon", "1")
+    assert code == 1 and out == ""
+    assert err == "error: horizon must be at least 2, got 1\n"
+
+
+def _run_catching_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Per command prefix, at COLUMNS=80: the sha256 of its --help stdout, the exit
+# code and stderr sha256 of the bare prefix, and the stderr sha256 of the
+# prefix with an unknown flag (which exits 2).
+PARSER_DIGESTS = {
+    "": (
+        "f3969d07f8184a5a121bfc501f24a7a8cc3c43392990450e3cb35578b99434c1",
+        2, "b1ae9b671981bc6f3bdb57a0a19544b30185408f5cf242ede35ed1fad7f1bad0",
+        "b1ae9b671981bc6f3bdb57a0a19544b30185408f5cf242ede35ed1fad7f1bad0"),
+    "measure": (
+        "8c8660dcb2de24e16df692e01ce0db171841e00ee44d85a3793ebc6ceb05bef5",
+        2, "130b1001b95f932aee02e41b7869be4a1804e0a7022d00f08fe8f1c39a3af758",
+        "130b1001b95f932aee02e41b7869be4a1804e0a7022d00f08fe8f1c39a3af758"),
+    "measure show": (
+        "083eb37132f01ebd964e332bc112d407d65f1676d7361cbaf70db70a235f8bdf",
+        2, "5ef562e556f93159047f396550ba1f75a13f38878a63fa24e97bcd6e4312a17b",
+        "5ef562e556f93159047f396550ba1f75a13f38878a63fa24e97bcd6e4312a17b"),
+    "measure additivity": (
+        "fa225f1a2c45aed866d3cadc94bb7b90cb46496e552abe57d9c1702c7fa67f88",
+        2, "36379b6ee670c82aa93708e1db949cf3203f9c378eccb396e87ba38860485b52",
+        "36379b6ee670c82aa93708e1db949cf3203f9c378eccb396e87ba38860485b52"),
+    "process": (
+        "475d25ed4e41f36f3c341a5356b60e8094b39e39fc20d8e477975d1f49ca7518",
+        2, "e35981ae1c86bd28f1ea88063684ad790d1e122ef0a4add65635e8e94f35b6aa",
+        "e35981ae1c86bd28f1ea88063684ad790d1e122ef0a4add65635e8e94f35b6aa"),
+    "process enumerate": (
+        "ec6d6a0e5d8e12e399808d8787e44c2728259289b9068eaf2cb2e5d2c48bb82b",
+        2, "52c0a5e8eb28fc498d13cb13f1bc647f9a1c3bf56e4bf5fef9b871574e84b9d0",
+        "52c0a5e8eb28fc498d13cb13f1bc647f9a1c3bf56e4bf5fef9b871574e84b9d0"),
+    "process prob": (
+        "a92b39ceb4373e246a11eb50f5955af4b3a7ba56802435a18c88c02a3307c8be",
+        2, "ab2299aca0e431114307c75df4e6eb8107cee2c96a65e48e4750b5b88e16f109",
+        "ab2299aca0e431114307c75df4e6eb8107cee2c96a65e48e4750b5b88e16f109"),
+    "process identities": (
+        "d73ff97038c372afb2f988ae743e81cdc52dc8b76c027b0a8607381f31d7d664",
+        2, "69bce055e92d8dc5fe83bcf3627db63f29ab8d9d7f25f3b0900a1e979f008e07",
+        "69bce055e92d8dc5fe83bcf3627db63f29ab8d9d7f25f3b0900a1e979f008e07"),
+    "process escape": (
+        "f4424c73e346a7e014f081eca5c46e494154885bcfcbd2172ab4e7bde910db4e",
+        2, "5faeb0e3bcd3eced03b4b187fc75ba57edd1484f9650d20b64a8cdd2b6b7f34a",
+        "5faeb0e3bcd3eced03b4b187fc75ba57edd1484f9650d20b64a8cdd2b6b7f34a"),
+    "converge": (
+        "57cf2c36576de8be0028f2464d279c4f0bfbe06d8aa612c31c0b4b7af1b499e0",
+        2, "fd5df0fd7176b9b3451b3de18a254cb48ddbdcb4c1fd698a71a901775e3585ad",
+        "fd5df0fd7176b9b3451b3de18a254cb48ddbdcb4c1fd698a71a901775e3585ad"),
+    "converge tightness": (
+        "50efab829793db828a21cc96364a4514885698f84fe00d01c05f1dee06f8ba50",
+        2, "64b7252b32935c3942cff2e9d24e5c61e757b6e9cc4735fef9d12e9b6904b819",
+        "64b7252b32935c3942cff2e9d24e5c61e757b6e9cc4735fef9d12e9b6904b819"),
+    "converge limit": (
+        "8164444c37148d2fbf5e09308eeb796b2c70be107eeec3c4cff7dcdbbd5951ac",
+        2, "f069cfcd20757de5c851c5a39711496d09f51b02df81276e9b815a36d4c6c6c5",
+        "f069cfcd20757de5c851c5a39711496d09f51b02df81276e9b815a36d4c6c6c5"),
+    "converge weaklimit": (
+        "2dc02d13a1f1523080278d9f2423f4ae64d9615aae3415f53d5505bcf1187940",
+        2, "0572c39049b183ebba2c0782f4a86eed09e174697545efcc52186962366c88a6",
+        "0572c39049b183ebba2c0782f4a86eed09e174697545efcc52186962366c88a6"),
+    "converge testfn": (
+        "dc42a0ebf1bed9f13356740025adb13205de50e94a7473a3a943917a3a922e35",
+        2, "a9ee2e25fb78706b85b92797950b04ef07bb749b2db3ebd1e337cdafd641ec6f",
+        "a9ee2e25fb78706b85b92797950b04ef07bb749b2db3ebd1e337cdafd641ec6f"),
+    "converge branches": (
+        "477f689366fa10a16c55d3852ff689d3ff549c37b9f0e2149128c3450dde24a5",
+        2, "541d90d912094a82f5ea076065ca1d46ed3bd77e7b26922a8b6d9dea53dc125d",
+        "541d90d912094a82f5ea076065ca1d46ed3bd77e7b26922a8b6d9dea53dc125d"),
+    "compactify": (
+        "0674555bf8028f2687032026b3e39bd90c7bc5fef5a30b972ad68d6bf99b5ad5",
+        2, "0500584f88a657f2fcb0b48b8f07fb3254936a9d21f2dfd33a1d522196e38c3b",
+        "0500584f88a657f2fcb0b48b8f07fb3254936a9d21f2dfd33a1d522196e38c3b"),
+    "theorem": (
+        "6a7bcf49eb29d214a1eb8ef0104232dc8a4b691853dd766baf31b1118fd1711b",
+        2, "5c1751c108bdbf4e7bd12f0f2780d443da7399e0b788aecdae4d7a712c891913",
+        "5c1751c108bdbf4e7bd12f0f2780d443da7399e0b788aecdae4d7a712c891913"),
+    "theorem verify": (
+        "0771db367916898520bec79c5c2ff263cb321f60c981223588f439c990a47300",
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e82abe0730b94d8fbbbcba91f6ce0c91759099f64ed282b1eeef3d5d0674faa3"),
+    "plotdata": (
+        "6f3d9a76875162ee279b6af0045b8ff0f5aace1676a089a87ee4d400f5d1c7a6",
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e82abe0730b94d8fbbbcba91f6ce0c91759099f64ed282b1eeef3d5d0674faa3"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests pin CPython 3.11's argparse layout")
+@pytest.mark.parametrize("prefix", sorted(PARSER_DIGESTS), ids=lambda p: p or "limitgap")
+def test_parser_help_and_usage_errors_are_pinned(monkeypatch, prefix):
+    monkeypatch.setenv("COLUMNS", "80")
+    help_digest, bare_code, bare_digest, unknown_digest = PARSER_DIGESTS[prefix]
+    argv = prefix.split()
+    code, out, err = _run_catching_exit([*argv, "--help"])
+    assert (code, _sha256(out), err) == (0, help_digest, "")
+    code, _, err = _run_catching_exit(argv)
+    assert (code, _sha256(err)) == (bare_code, bare_digest)
+    code, out, err = _run_catching_exit([*argv, "--bogus"])
+    assert (code, out, _sha256(err)) == (2, "", unknown_digest)
+
+
 def test_missing_subcommand_exits_with_code_two(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["measure"])
@@ -748,13 +878,7 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(argv=cli_argv())
 def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([a.format(dir=fuzz_dir) for a in argv])
-        except SystemExit as exc:
-            code = exc.code
-    err = err.getvalue()
+    code, out, err = _run_catching_exit([a.format(dir=fuzz_dir) for a in argv])
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 1:
-        assert out.getvalue() == "" and err.startswith("error:") and err.count("\n") == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1

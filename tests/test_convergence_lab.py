@@ -492,6 +492,54 @@ def test_order_b_scan_is_clipped_to_the_table():
     assert report.horizon_used == 6 and report.value == HALF
 
 
+# --- the horizon rule: at least 2, clipped to a table ---
+
+
+def _atan(x):
+    return math.atan(float(x.value))
+
+
+SCANS = {
+    "tightness_probe": lambda fam, horizon: tightness_probe(fam, HALF, horizon),
+    "weak_limit_identify": weak_limit_identify,
+    "integral_limit": lambda fam, horizon: integral_limit(fam, _atan, horizon),
+    "order_a_limit": lambda fam, horizon: order_a_limit(
+        fam, singleton_family(finite(0)), horizon),
+    "order_b_limit": lambda fam, horizon: order_b_limit(
+        fam, singleton_family(finite(0)), horizon),
+}
+HORIZON_FAMILIES = {
+    "mu": builtin_family("mu"),
+    "table": table_family([dirac(finite(k)) for k in range(3)]),
+}
+
+
+@pytest.mark.parametrize("horizon", [1, 0, -5])
+@pytest.mark.parametrize("family", sorted(HORIZON_FAMILIES))
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_a_horizon_below_two_is_a_domain_error(scan, family, horizon):
+    with pytest.raises(DomainError) as exc_info:
+        SCANS[scan](HORIZON_FAMILIES[family], horizon)
+    assert type(exc_info.value) is DomainError
+    assert str(exc_info.value) == f"horizon must be at least 2, got {horizon}"
+
+
+@pytest.mark.parametrize("family", sorted(HORIZON_FAMILIES))
+def test_a_bad_epsilon_is_reported_before_a_bad_horizon(family):
+    with pytest.raises(BadEpsilonError):
+        tightness_probe(HORIZON_FAMILIES[family], F(0), 1)
+
+
+@pytest.mark.parametrize("scan", ["weak_limit_identify", "integral_limit"])
+def test_a_table_clips_the_scan_to_its_members(monkeypatch, scan):
+    requested = []
+    member = MeasureFamily.member
+    monkeypatch.setattr(
+        MeasureFamily, "member", lambda self, n: requested.append(n) or member(self, n))
+    SCANS[scan](table_family([lambda_measure()] * 6), 64)
+    assert sorted(set(requested)) == [1, 2, 3, 4, 5, 6]
+
+
 # --- order (b) against a brute-force oracle ---
 
 

@@ -272,6 +272,62 @@ def test_intersection_of_overlapping_intervals():
     assert a.union(b) == MeasurableSet.interval(finite(0), finite(3))
 
 
+_GRID = [NEG_INF, *(finite(F(k, 2)) for k in range(-4, 5)), POS_INF]
+# Every grid point, every midpoint between neighbours and one point past each
+# finite end: sets whose endpoints lie on the grid are equal exactly when
+# they agree on these probes.
+_PROBES = sorted({
+    *_GRID,
+    *(finite((a.value + b.value) / 2) for a, b in zip(_GRID[1:-2], _GRID[2:-1])),
+    finite(-3), finite(3),
+})
+
+
+def _in_pieces(intervals, points, x):
+    """Pointwise membership in a union of intervals and points, from the definitions."""
+    return x in points or any(
+        (iv.lo < x or (iv.lo == x and iv.lo_closed))
+        and (x < iv.hi or (x == iv.hi and iv.hi_closed))
+        for iv in intervals
+    )
+
+
+def _random_pieces(rng):
+    intervals = []
+    for _ in range(rng.randint(0, 3)):
+        lo, hi = sorted(rng.sample(_GRID, 2)) if rng.random() < 0.8 else rng.sample(_GRID, 2)
+        intervals.append(Interval(lo, rng.random() < 0.5, hi, rng.random() < 0.5))
+    return intervals, rng.sample(_GRID, rng.randint(0, 3))
+
+
+def test_set_algebra_follows_pointwise_membership():
+    rng = random.Random(2014)
+    by_membership = {}
+    for _ in range(600):
+        raw_a, raw_b = _random_pieces(rng), _random_pieces(rng)
+        a, b = MeasurableSet.from_pieces(*raw_a), MeasurableSet.from_pieces(*raw_b)
+        results = {
+            "R": a.complement("R"),
+            "Rbar": a.complement("Rbar"),
+            "union": a.union(b),
+            "intersection": a.intersection(b),
+        }
+        for x in _PROBES:
+            in_a, in_b = _in_pieces(*raw_a, x), _in_pieces(*raw_b, x)
+            expected = {
+                "R": x.is_finite and not in_a,  # R holds neither infinity
+                "Rbar": not in_a,
+                "union": in_a or in_b,
+                "intersection": in_a and in_b,
+            }
+            for op, r in results.items():
+                assert _in_pieces(r.intervals, r.points, x) == expected[op], (op, a, b, x)
+        for r in (a, b, *results.values()):
+            assert MeasurableSet.from_pieces(r.intervals, r.points) == r
+            signature = tuple(_in_pieces(r.intervals, r.points, x) for x in _PROBES)
+            assert by_membership.setdefault(signature, r) == r  # one set, one normal form
+
+
 def test_mass_is_finitely_additive_over_disjoint_sets():
     rng = random.Random(7)
     for _ in range(60):

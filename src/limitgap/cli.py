@@ -57,6 +57,8 @@ from .process_lab import (
     FAIR,
     IdentityReport,
     ProcessRow,
+    _bit_table,
+    _popcount_probs,
     escaped_mass_profile,
     event_probability,
     iter_outcomes,
@@ -145,6 +147,7 @@ def _single_set_arg(spec: str) -> MeasurableSet:
 class _Output:
     data: dict[str, Any]  # json payload
     rows: Iterable[dict[str, Any]] | None = None  # table/csv rows, if tabular
+    blocks: Callable[[str], Iterator[str]] | None = None  # csv/table text, in place of rows
     head: str = ""  # table-only line before the rows or key/value lines
     tail: str = ""  # table-only lines after them
 
@@ -189,14 +192,18 @@ def _materialise(obj: Any) -> list:
 def _emit(output: _Output, fmt: str, out_path: str | None) -> None:
     """Write `output` as `fmt` to the `--out` file, or to stdout without one.
 
-    Rows may arrive as an iterator: csv streams them into its buffer, while
-    the table (which needs its column widths first) and json hold them all.
+    An output with `blocks` writes its csv or table text block by block.
+    Otherwise rows may arrive as an iterator: csv streams them into its
+    buffer, while the table (which needs its column widths first) and json
+    hold them all.
     """
     if fmt == "json":
         buf = io.StringIO()  # json.dumps would join a list of every chunk
         buf.writelines(json.JSONEncoder(indent=2, default=_materialise).iterencode(output.data))
         buf.write("\n")
-        text = buf.getvalue()
+        chunks: Iterable[str] = (buf.getvalue(),)
+    elif output.blocks is not None:
+        chunks = output.blocks(fmt)
     elif fmt == "csv":
         rows = iter(output.rows if output.rows is not None else _key_value_rows(output.data))
         first = next(rows, None)
@@ -208,17 +215,19 @@ def _emit(output: _Output, fmt: str, out_path: str | None) -> None:
             values = operator.itemgetter(*header)  # a tuple: every table has two or more columns
             writer.writerow(values(first))
             writer.writerows(map(values, rows))
-        text = buf.getvalue()
+        chunks = (buf.getvalue(),)
     else:
         body = _rows_table(list(output.rows)) if output.rows is not None else "\n".join(
             f"{r['key']}: {r['value']}" for r in _key_value_rows(output.data))
-        text = "\n".join(part for part in (output.head, body, output.tail) if part) + "\n"
+        chunks = ("\n".join(part for part in (output.head, body, output.tail) if part) + "\n",)
     if not out_path:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise LimitGapError(f"cannot write {out_path}: {exc.strerror}") from None
 
@@ -261,11 +270,45 @@ def _cmd_measure_additivity(args: argparse.Namespace) -> _Output:
     })
 
 
-# csv streams the 2**n rows, but the table and json hold them all: at n = 18
-# csv peaks at 36 MB, the table at 125 MB and json at 117 MB; at n = 19 the
-# table takes 233 MB and json 214 MB, and both about double with each n.
+# csv and the table stream the 2**n rows a block at a time, while json holds
+# them all: at n = 18 csv and the table peak at 22.5 MB and json at 117 MB;
+# at n = 19 json takes 214 MB, and it about doubles with each n.
 ENUM_MAX_N = 18
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _enumerate_blocks(n: int, p: Fraction, fmt: str) -> Iterator[str]:
+    """The csv or table text of `process enumerate`: the header, then one block per high half.
+
+    Row v's line is lo_text[v & mask] + suffix[popcount(v & mask)], where the
+    n // 2 + 1 suffixes of high half h = v >> half hold its bits, Y, Z and
+    the probability of popcount(h) + k ones.  For h > 0, Y is 1 and Z is
+    h.bit_length() + half; the h = 0 block splits by lo.bit_length().  Every
+    column's width is known before any row: the table pads the suffixes.
+    """
+    half = n // 2
+    probs = [rat_str(prob) for prob in _popcount_probs(n, p)]
+    lo_text, hi_text = ([bytes(b).translate(_BIT_DIGITS).decode() for b in _bit_table(width)]
+                        for width in (half, n - half))
+    lo_ones = list(map(int.bit_count, range(1 << half)))
+    if fmt == "csv":  # what csv.writer prints: nothing here needs quoting
+        sep, end, widths = ",", "\r\n", (0, 0, 0, 0)
+    else:  # what _rows_table prints: every column padded to its longest entry
+        sep, end, widths = "  ", "\n", (max(4, n), max(4, *map(len, probs)), 1, len(str(n)))
+    bits_w, prob_w, y_w, z_w = widths
+
+    def lines(h: int, y: int, z: int, lo: slice) -> str:
+        head = hi_text[h].ljust(bits_w - half) + sep
+        tail = f"{sep}{str(y).ljust(y_w)}{sep}{str(z).ljust(z_w)}{end}"
+        ones = h.bit_count()
+        suffix = [head + probs[ones + k].ljust(prob_w) + tail for k in range(half + 1)]
+        return "".join(map(str.__add__, lo_text[lo], map(suffix.__getitem__, lo_ones[lo])))
+
+    yield sep.join(map(str.ljust, ("bits", "prob", "y", "z"), widths)) + end
+    yield lines(0, 0, n, slice(1)) + "".join(
+        lines(0, 1, z, slice(1 << (z - 1), 1 << z)) for z in range(1, half + 1))
+    for h in range(1, 1 << (n - half)):
+        yield lines(h, 1, h.bit_length() + half, slice(None))
 
 
 def _cmd_process_enumerate(args: argparse.Namespace) -> _Output:
@@ -284,7 +327,7 @@ def _cmd_process_enumerate(args: argparse.Namespace) -> _Output:
 
     records = map(record, rows)
     data = {"n": args.n, "p": rat_str(args.p), "rows": records}
-    return _Output(data, records)
+    return _Output(data, records, blocks=lambda fmt: _enumerate_blocks(args.n, args.p, fmt))
 
 
 def _cmd_process_prob(args: argparse.Namespace) -> _Output:

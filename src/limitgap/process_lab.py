@@ -59,6 +59,11 @@ def _popcount_probs(n: int, p: Fraction) -> list[Fraction]:
     return [p**k * q ** (n - k) for k in range(n + 1)]
 
 
+def _weighted(counts: list[int], probs: list[Fraction]) -> Fraction:
+    """The total probability of counts[k] outcomes with k ones, one product per nonempty class."""
+    return sum((count * probs[k] for k, count in enumerate(counts) if count), Fraction(0))
+
+
 def _bit_table(width: int) -> list[tuple[int, ...]]:
     """table[v] is the bit tuple of v < 2**width, lowest bit first, built by doubling."""
     table: list[tuple[int, ...]] = [()]
@@ -154,10 +159,7 @@ def event_probability(n: int, p: Fraction, e: EventPredicate | str) -> Fraction:
         z = v.bit_length() if v else n
         if pred(v, y, z):
             counts[v.bit_count()] += 1
-    probs = _popcount_probs(n, p)
-    return sum(
-        (count * probs[k] for k, count in enumerate(counts) if count), Fraction(0)
-    )
+    return _weighted(counts, _popcount_probs(n, p))
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,18 +190,19 @@ def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:
 
     Deliberately recomputes Y_n and Z_n from first principles (max over an
     explicit bit tuple, last index attaining it) rather than reusing the
-    integer-encoding shortcuts, so this doubles as an oracle for them.
+    integer-encoding shortcuts, so this doubles as an oracle for them.  The
+    hits on each side are tallied per popcount, as in event_probability.
     """
     _validate_horizon(n)
     p = _validate_bias(p)
     probs = _popcount_probs(n, p)
     z_in_range = argmax_attains = set_identity = True
     violations: list[str] = []
-    p_both = p_z_below = Fraction(0)
+    hits_both, hits_z_below = [0] * (n + 1), [0] * (n + 1)
     for bits in product((0, 1), repeat=n):
         y = max(bits)
         z = max(i + 1 for i, bit in enumerate(bits) if bit == y)
-        prob = probs[sum(bits)]
+        ones = sum(bits)
         if not z <= n:
             z_in_range = False
             violations.append(f"{bits}: Z={z} exceeds n={n}")
@@ -212,9 +215,9 @@ def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:
             set_identity = False
             violations.append(f"{bits}: X[N]==0&&Z<N is {in_left} but Z<N is {in_right}")
         if in_left:
-            p_both += prob
+            hits_both[ones] += 1
         if in_right:
-            p_z_below += prob
+            hits_z_below[ones] += 1
     return IdentityReport(
         n=n,
         rows_checked=1 << n,
@@ -222,8 +225,8 @@ def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:
         argmax_attains_max=argmax_attains,
         set_identity=set_identity,
         violations=tuple(violations[:8]),
-        p_last_zero_and_z_below=p_both,
-        p_z_below=p_z_below,
+        p_last_zero_and_z_below=_weighted(hits_both, probs),
+        p_z_below=_weighted(hits_z_below, probs),
     )
 
 

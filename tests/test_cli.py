@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitgap.cli import ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, _key_value_rows, build_parser, main
+from limitgap.cli import (
+    ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, _key_value_rows, _rows_table, build_parser, main,
+)
 from limitgap.measure_core import rat_str
 from limitgap.process_lab import iter_outcomes
 
@@ -177,8 +179,9 @@ def test_enumerate_prints_the_pinned_bytes(capsys, n, p, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[n, p, fmt]
 
 
+# n = 1 has an empty low half, and odd n a high half one bit longer than the low.
 @pytest.mark.parametrize("p", ["1/2", "1/3", "5/7"])
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_enumerate_csv_rows_match_the_stream_row_by_row(capsys, n, p):
     code, out, err = run(capsys, "process", "enumerate", "--n", str(n), "--p", p, "--format", "csv")
     assert code == 0 and err == ""
@@ -192,6 +195,17 @@ def test_enumerate_csv_rows_match_the_stream_row_by_row(capsys, n, p):
             "y": str(row.y),
             "z": str(row.z),
         }
+
+
+@pytest.mark.parametrize("p", ["1/2", "1/3", "5/7"])
+@pytest.mark.parametrize("n", range(1, 14))
+def test_enumerate_table_matches_a_rows_table_rendering_of_the_stream(capsys, n, p):
+    code, out, err = run(capsys, "process", "enumerate", "--n", str(n), "--p", p)
+    assert code == 0 and err == ""
+    rows = [{"bits": "".join(map(str, row.outcome.bits)), "prob": rat_str(row.outcome.prob),
+             "y": row.y, "z": row.z} for row in iter_outcomes(n, Fraction(p))]
+    # Line by line: a failing diff of the whole text takes minutes at n = 13.
+    assert out.splitlines() == _rows_table(rows).splitlines() and out.endswith("\n")
 
 
 def _dictwriter_csv(output):
@@ -244,6 +258,34 @@ def test_enumerate_csv_streams_its_rows():
     assert code == 0
     # Peak over stdout bytes: 21.8 when all 2**14 rows were held first, 4.9 streamed.
     assert peak < 10 * len(out.getvalue())
+
+
+class _CountingSink:
+    """A stdout stand-in that keeps only the number of characters written."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_table_streams_its_rows():
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["process", "enumerate", "--n", "14"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.chars == (2**14 + 1) * 31  # 14 + 2 + len("1/16384") + 2 + 1 + 2 + 2 + 1
+    # Peak over printed characters: 12.2 when every row was held for the
+    # column widths, 0.3 streamed.
+    assert peak < sink.chars
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

@@ -263,6 +263,17 @@ def test_identity_report_equates_the_two_event_routes():
     assert report.p_last_zero_and_z_below == report.p_z_below == F(1, 2) - F(1, 1024)
 
 
+@pytest.mark.parametrize("p", [F(1, 3), F(5, 7)])
+def test_identity_report_matches_the_z_law_on_a_biased_coin(p):
+    # Off p = 1/2 the probability of k ones differs from that of n - k, so a
+    # tally kept under the wrong popcount class shows.
+    for n in range(1, 11):
+        report = verify_process_identities(n, p)
+        expected = 1 - p - (1 - p) ** n  # P(Z_n < n) from the closed form
+        assert report.p_last_zero_and_z_below == report.p_z_below == expected
+        assert report.p_z_below == event_probability(n, p, "Z<N")
+
+
 def test_escape_profile_frozen_values():
     profile = dict(escaped_mass_profile(10, 2))
     assert profile == {0: F(513, 1024), 1: F(1, 4), 2: F(1, 8)}

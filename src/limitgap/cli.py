@@ -271,7 +271,7 @@ def _cmd_measure_additivity(args: argparse.Namespace) -> _Output:
 
 
 # csv and the table stream the 2**n rows a block at a time, while json holds
-# them all: at n = 18 csv and the table peak at 22.5 MB and json at 117 MB;
+# them all: at n = 18 csv and the table peak at 18 MB and json at 117 MB;
 # at n = 19 json takes 214 MB, and it about doubles with each n.
 ENUM_MAX_N = 18
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")

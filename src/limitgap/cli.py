@@ -56,7 +56,6 @@ from .measure_core import (
 from .process_lab import (
     FAIR,
     IdentityReport,
-    ProcessRow,
     _bit_table,
     _popcount_probs,
     escaped_mass_profile,
@@ -146,8 +145,8 @@ def _single_set_arg(spec: str) -> MeasurableSet:
 @dataclass(frozen=True, slots=True)
 class _Output:
     data: dict[str, Any]  # json payload
-    rows: Iterable[dict[str, Any]] | None = None  # table/csv rows, if tabular
-    blocks: Callable[[str], Iterator[str]] | None = None  # csv/table text, in place of rows
+    rows: list[dict[str, Any]] | None = None  # table/csv rows, if tabular
+    blocks: Callable[[str], Iterator[str]] | None = None  # every format's text, in place of data and rows
     head: str = ""  # table-only line before the rows or key/value lines
     tail: str = ""  # table-only lines after them
 
@@ -182,42 +181,30 @@ def _measure_output(m: DiscreteMeasure) -> _Output:
     return _Output(data, rows, tail=f"total: {data['total']}")
 
 
-def _materialise(obj: Any) -> list:
-    """json.dumps hook: a lazily produced list of rows is written as a list."""
-    if isinstance(obj, Iterator):
-        return list(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _emit(output: _Output, fmt: str, out_path: str | None) -> None:
     """Write `output` as `fmt` to the `--out` file, or to stdout without one.
 
-    An output with `blocks` writes its csv or table text block by block.
-    Otherwise rows may arrive as an iterator: csv streams them into its
-    buffer, while the table (which needs its column widths first) and json
-    hold them all.
+    An output with `blocks` writes its text block by block, in every format.
+    Any other output is rendered whole and written at once.
     """
-    if fmt == "json":
+    if output.blocks is not None:
+        chunks: Iterable[str] = output.blocks(fmt)
+    elif fmt == "json":
         buf = io.StringIO()  # json.dumps would join a list of every chunk
-        buf.writelines(json.JSONEncoder(indent=2, default=_materialise).iterencode(output.data))
+        buf.writelines(json.JSONEncoder(indent=2).iterencode(output.data))
         buf.write("\n")
-        chunks: Iterable[str] = (buf.getvalue(),)
-    elif output.blocks is not None:
-        chunks = output.blocks(fmt)
+        chunks = (buf.getvalue(),)
     elif fmt == "csv":
-        rows = iter(output.rows if output.rows is not None else _key_value_rows(output.data))
-        first = next(rows, None)
-        buf = io.StringIO()  # one write: row by row, a 2^18-row pipe took 0.5 s more
-        header = list(first) if first is not None else ["key"]
+        rows = output.rows if output.rows is not None else _key_value_rows(output.data)
+        buf = io.StringIO()
+        header = list(rows[0]) if rows else ["key"]
         writer = csv.writer(buf)
         writer.writerow(header)
-        if first is not None:
-            values = operator.itemgetter(*header)  # a tuple: every table has two or more columns
-            writer.writerow(values(first))
-            writer.writerows(map(values, rows))
+        if rows:  # itemgetter gives a tuple: every table has two or more columns
+            writer.writerows(map(operator.itemgetter(*header), rows))
         chunks = (buf.getvalue(),)
     else:
-        body = _rows_table(list(output.rows)) if output.rows is not None else "\n".join(
+        body = _rows_table(output.rows) if output.rows is not None else "\n".join(
             f"{r['key']}: {r['value']}" for r in _key_value_rows(output.data))
         chunks = ("\n".join(part for part in (output.head, body, output.tail) if part) + "\n",)
     if not out_path:
@@ -270,15 +257,15 @@ def _cmd_measure_additivity(args: argparse.Namespace) -> _Output:
     })
 
 
-# csv and the table stream the 2**n rows a block at a time, while json holds
-# them all: at n = 18 csv and the table peak at 18 MB and json at 117 MB;
-# at n = 19 json takes 214 MB, and it about doubles with each n.
+# Every format streams the 2**n rows a block at a time, so n is bounded by
+# the output's size: json, the largest, is 27.0 MB at n = 18 and doubles
+# with each n.
 ENUM_MAX_N = 18
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _enumerate_blocks(n: int, p: Fraction, fmt: str) -> Iterator[str]:
-    """The csv or table text of `process enumerate`: the header, then one block per high half.
+    """The text of `process enumerate`: the header, one block per high half, the footer.
 
     Row v's line is lo_text[v & mask] + suffix[popcount(v & mask)], where the
     n // 2 + 1 suffixes of high half h = v >> half hold its bits, Y, Z and
@@ -288,46 +275,45 @@ def _enumerate_blocks(n: int, p: Fraction, fmt: str) -> Iterator[str]:
     """
     half = n // 2
     probs = [rat_str(prob) for prob in _popcount_probs(n, p)]
-    lo_text, hi_text = ([bytes(b).translate(_BIT_DIGITS).decode() for b in _bit_table(width)]
-                        for width in (half, n - half))
-    lo_ones = list(map(int.bit_count, range(1 << half)))
-    if fmt == "csv":  # what csv.writer prints: nothing here needs quoting
-        sep, end, widths = ",", "\r\n", (0, 0, 0, 0)
-    else:  # what _rows_table prints: every column padded to its longest entry
-        sep, end, widths = "  ", "\n", (max(4, n), max(4, *map(len, probs)), 1, len(str(n)))
+    widths = (0, 0, 0, 0)
+    if fmt == "json":  # what JSONEncoder(indent=2) prints for {"n": n, "p": p, "rows": rows}
+        seps = (',\n    {\n      "bits": "', '",\n      "prob": "', '",\n      "y": ',
+                ',\n      "z": ', "\n    }")
+        header, footer = f'{{\n  "n": {n},\n  "p": "{rat_str(p)}",\n  "rows": [', "\n  ]\n}\n"
+    else:
+        if fmt == "csv":  # what csv.writer prints: nothing here needs quoting
+            sep, end = ",", "\r\n"
+        else:  # what _rows_table prints: every column padded to its longest entry
+            sep, end, widths = "  ", "\n", (max(4, n), max(4, *map(len, probs)), 1, len(str(n)))
+        seps = ("", sep, sep, sep, end)
+        header, footer = sep.join(map(str.ljust, ("bits", "prob", "y", "z"), widths)) + end, ""
+    lead, to_prob, to_y, to_z, end = seps
     bits_w, prob_w, y_w, z_w = widths
+    lo_text, hi_text = ([start + bytes(b).translate(_BIT_DIGITS).decode() for b in _bit_table(width)]
+                        for start, width in ((lead, half), ("", n - half)))
+    lo_ones = list(map(int.bit_count, range(1 << half)))
 
     def lines(h: int, y: int, z: int, lo: slice) -> str:
-        head = hi_text[h].ljust(bits_w - half) + sep
-        tail = f"{sep}{str(y).ljust(y_w)}{sep}{str(z).ljust(z_w)}{end}"
+        head = hi_text[h].ljust(bits_w - half) + to_prob
+        tail = f"{to_y}{str(y).ljust(y_w)}{to_z}{str(z).ljust(z_w)}{end}"
         ones = h.bit_count()
         suffix = [head + probs[ones + k].ljust(prob_w) + tail for k in range(half + 1)]
         return "".join(map(str.__add__, lo_text[lo], map(suffix.__getitem__, lo_ones[lo])))
 
-    yield sep.join(map(str.ljust, ("bits", "prob", "y", "z"), widths)) + end
-    yield lines(0, 0, n, slice(1)) + "".join(
+    yield header
+    # json's lead starts with the comma between rows, which the v = 0 row goes without
+    yield lines(0, 0, n, slice(1)).removeprefix(",") + "".join(
         lines(0, 1, z, slice(1 << (z - 1), 1 << z)) for z in range(1, half + 1))
     for h in range(1, 1 << (n - half)):
         yield lines(h, 1, h.bit_length() + half, slice(None))
+    yield footer
 
 
 def _cmd_process_enumerate(args: argparse.Namespace) -> _Output:
-    rows = iter_outcomes(args.n, args.p)  # checks n and p; no row is built yet
+    iter_outcomes(args.n, args.p)  # checks n and p
     if args.n > ENUM_MAX_N:
         raise NRangeError(f"n must be at most {ENUM_MAX_N}, got {args.n}")
-    prob_text: dict[int, str] = {}  # an outcome's probability depends only on its count of ones
-
-    def record(row: ProcessRow) -> dict[str, Any]:
-        bits = bytes(row.outcome.bits)
-        ones = bits.count(1)
-        if ones not in prob_text:
-            prob_text[ones] = rat_str(row.outcome.prob)
-        return {"bits": bits.translate(_BIT_DIGITS).decode(), "prob": prob_text[ones],
-                "y": row.y, "z": row.z}
-
-    records = map(record, rows)
-    data = {"n": args.n, "p": rat_str(args.p), "rows": records}
-    return _Output(data, records, blocks=lambda fmt: _enumerate_blocks(args.n, args.p, fmt))
+    return _Output({}, blocks=lambda fmt: _enumerate_blocks(args.n, args.p, fmt))
 
 
 def _cmd_process_prob(args: argparse.Namespace) -> _Output:

@@ -643,7 +643,7 @@ def order_a_limit(
     return LimitReport(
         order="a",
         value=value,
-        horizon_used=horizon,
+        horizon_used=_scan(horizon, fam),
         witness=f"limit measure {rho} applied to limit set {alpha} "
         f"({notion} limit of {sets.describe()})",
         measure_tag=str(rho),

@@ -1,0 +1,156 @@
+"""Mutation checks: each hand-made fault in src/ must make its named tests fail.
+
+Run from anywhere, with the test dependencies installed:
+
+    python3 tests/mutants.py [NAME ...]
+
+A mutant is one (old, new) text replacement in one file of the limitgap
+package, plus the pytest ids that must catch it.  For each mutant the runner
+copies src/, tests/, pyproject.toml and README.md (whose examples a test
+runs) into a fresh temporary directory, applies the replacement there and
+runs the named tests; the copied pyproject's `pythonpath = ["src"]` puts the
+mutated package ahead of any installed one.
+Before any mutant, the named tests must pass on an unmutated copy.  Each
+mutant is reported as killed (its tests fail), survived (they pass), stale
+(its old text is not in the file exactly once) or error (pytest could not
+run them).  The exit status is 0 only when every mutant is killed.  The
+working tree is never written.
+
+The tier-1 suite does not collect this module: each mutant costs one pytest
+start-up plus its tests, and the 13 below take about 30 s on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/limitgap/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+CLI = "tests/test_cli.py::"
+CONVERGENCE = "tests/test_convergence_lab.py::"
+PROCESS = "tests/test_process_lab.py::"
+
+MUTANTS = (
+    Mutant("json row separator dropped", "cli.py",
+           """seps = (',\\n    {\\n      "bits": "'""",
+           """seps = ('\\n    {\\n      "bits": "'""",
+           (CLI + "test_enumerate_matches_the_generic_renderer[3-1/2-json]",)),
+    Mutant("json indentation of z off by one", "cli.py",
+           """',\\n      "z": '""",
+           """',\\n       "z": '""",
+           (CLI + "test_enumerate_matches_the_generic_renderer[3-1/2-json]",)),
+    Mutant("table prob width floor 3", "cli.py",
+           "max(4, *map(len, probs))",
+           "max(3, *map(len, probs))",
+           (CLI + "test_enumerate_matches_the_generic_renderer[1-1/2-table]",)),
+    Mutant("Y of the all-zeros row is 1", "cli.py",
+           "lines(0, 0, n, slice(1))",
+           "lines(0, 1, n, slice(1))",
+           (CLI + "test_enumerate_matches_the_generic_renderer[4-1/3-csv]",)),
+    Mutant("order (a) reports the requested horizon", "convergence_lab.py",
+           "horizon_used=_scan(horizon, fam),",
+           "horizon_used=horizon,",
+           (CONVERGENCE + "test_order_b_scan_is_clipped_to_the_table",)),
+    Mutant("csv itemgetter reversed", "cli.py",
+           "map(operator.itemgetter(*header), rows)",
+           "map(operator.itemgetter(*reversed(header)), rows)",
+           (CLI + "test_csv_matches_a_dictwriter_rendering[plotdata --n-max 6]",)),
+    Mutant("order (b) without count=scan", "convergence_lab.py",
+           "analyze_rational_sequence(values, count=scan)",
+           "analyze_rational_sequence(values)",
+           (CONVERGENCE + "test_order_b_matches_the_brute_force_oracle_on_builtins[mu-I(n+2)]",)),
+    Mutant("_TAIL = _WINDOW", "convergence_lab.py",
+           "_TAIL = _WINDOW + 1",
+           "_TAIL = _WINDOW",
+           (CONVERGENCE + "test_order_b_requests_only_the_members_it_reads",)),
+    Mutant("Z law denominator d**k", "process_lab.py",
+           "Fraction(a * b**k, d ** (k + 1))",
+           "Fraction(a * b**k, d ** k)",
+           (PROCESS + "test_z_law_matches_a_brute_force_tally[5]",)),
+    Mutant("Z law top atom q**n", "process_lab.py",
+           "pairs.append((n, p + Fraction(b**n, d**n)))",
+           "pairs.append((n, Fraction(b**n, d**n)))",
+           (PROCESS + "test_z_law_matches_a_brute_force_tally[5]",)),
+    Mutant("Z law with a and b swapped", "process_lab.py",
+           "Fraction(a * b**k, d ** (k + 1))",
+           "Fraction(b * a**k, d ** (k + 1))",
+           (PROCESS + "test_z_law_matches_a_brute_force_tally[5]",)),
+    Mutant("bare ! counts one token", "event_dsl.py",
+           'size += 3 if tokens and tokens[-1].kind == "!" and text != "(" else 1',
+           "size += 1",
+           ("tests/test_event_dsl.py::"
+            "test_an_event_past_the_cap_is_refused_at_its_first_token_too_many[bare-nots]",)),
+    Mutant('complement("R") acts as "Rbar"', "measure_core.py",
+           "infinities: tuple[ExtReal, ...] = (NEG_INF, POS_INF)",
+           "infinities: tuple[ExtReal, ...] = ()",
+           ("tests/test_measure_core.py::test_complement_ambient_matters_at_infinity",)),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
+
+
+def _pytest(root: Path, tests: tuple[str, ...]) -> int:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """killed, survived, stale or error: the fate of one mutant in a fresh copy."""
+    with tempfile.TemporaryDirectory(prefix="limitgap-mutant-") as tmp:
+        root = Path(tmp)
+        _copy_tree(root)
+        target = root / "src" / "limitgap" / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "stale"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        code = _pytest(root, mutant.tests)
+    return {0: "survived", 1: "killed"}.get(code, "error")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="limitgap-mutant-") as tmp:
+        _copy_tree(Path(tmp))
+        if _pytest(Path(tmp), tests) != 0:
+            print("the named tests do not pass on an unmutated copy", file=sys.stderr)
+            return 1
+    fates = []
+    for mutant in mutants:
+        fate = run_mutant(mutant)
+        fates.append(fate)
+        print(f"{fate:8}  {mutant.name}", flush=True)
+    print(f"{fates.count('killed')} of {len(mutants)} killed")
+    return 0 if all(fate == "killed" for fate in fates) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

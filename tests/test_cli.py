@@ -1,5 +1,6 @@
 """End-to-end runs of the limitgap command line."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitgap.cli import (
-    ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, _key_value_rows, _rows_table, build_parser, main,
+    ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, _emit, _key_value_rows, _Output, _rows_table,
+    build_parser, main,
 )
 from limitgap.measure_core import rat_str
 from limitgap.process_lab import iter_outcomes
@@ -169,6 +171,12 @@ ENUMERATE_DIGESTS = {
     ("12", "1/3", "json"): "000cbeec35dc587a5fb4a05890a877e117c752de1d86ba04a088208ade4f5e81",
     ("16", "1/2", "csv"): "2cf3a4baf8407b10c6fb95c439ba341344b49340f321d66dc28874c5297a62c8",
     ("16", "1/3", "csv"): "625863e6e6687857e1a360f0a0c02e7c81a6b3a6dea465ac27d7a62711c0658f",
+    ("16", "1/2", "json"): "c049fa685f25afa6b8ce6cbbcd978c313a52ee68ee1b197c0e8d1617a42dcbf8",
+    ("16", "1/3", "json"): "4cfe458280f4a50321cbffe4681365b1846116f16c4a6a86b8646430d27f925b",
+    # the benchmark's argv
+    ("18", "1/2", "csv"): "f9931a314c74884ad57ea7fa9617d4f26b6c4686af17f2ce5bba79d2b0898892",
+    ("18", "1/2", "table"): "f19bafd6230e6886f336f786d268be42823bdb5b7b815a9c8ff40e957adc4628",
+    ("18", "1/2", "json"): "93c1f13b6d45022f79831ff3ca15fa7982421d2fc7df4121ba2bf6f56dfbcfd5",
 }
 
 
@@ -197,20 +205,44 @@ def test_enumerate_csv_rows_match_the_stream_row_by_row(capsys, n, p):
         }
 
 
+def _stream_records(n, p):
+    """The `process enumerate` rows of iter_outcomes(n, p), as dicts of their printed values."""
+    return [{"bits": "".join(map(str, row.outcome.bits)), "prob": rat_str(row.outcome.prob),
+             "y": row.y, "z": row.z} for row in iter_outcomes(n, Fraction(p))]
+
+
 @pytest.mark.parametrize("p", ["1/2", "1/3", "5/7"])
 @pytest.mark.parametrize("n", range(1, 14))
 def test_enumerate_table_matches_a_rows_table_rendering_of_the_stream(capsys, n, p):
     code, out, err = run(capsys, "process", "enumerate", "--n", str(n), "--p", p)
     assert code == 0 and err == ""
-    rows = [{"bits": "".join(map(str, row.outcome.bits)), "prob": rat_str(row.outcome.prob),
-             "y": row.y, "z": row.z} for row in iter_outcomes(n, Fraction(p))]
     # Line by line: a failing diff of the whole text takes minutes at n = 13.
-    assert out.splitlines() == _rows_table(rows).splitlines() and out.endswith("\n")
+    assert out.splitlines() == _rows_table(_stream_records(n, p)).splitlines() and out.endswith("\n")
 
 
-def _dictwriter_csv(output):
-    """The csv.DictWriter rendering of a handler's rows, or of its key/value lines."""
-    rows = list(output.rows) if output.rows is not None else _key_value_rows(output.data)
+def _format_choices(*path):
+    """The --format choices the parser defines for the subcommand at `path`."""
+    parser = build_parser()
+    for name in path:
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[name]
+    return next(a for a in parser._actions if a.dest == "format").choices
+
+
+@pytest.mark.parametrize("fmt", _format_choices("process", "enumerate"))
+@pytest.mark.parametrize("p", ["1/2", "1/3", "5/7"])
+@pytest.mark.parametrize("n", range(1, 14))
+def test_enumerate_matches_the_generic_renderer(capsys, n, p, fmt):
+    code, out, err = run(capsys, "process", "enumerate", "--n", str(n), "--p", p, "--format", fmt)
+    assert code == 0 and err == ""
+    rows = _stream_records(n, p)
+    _emit(_Output({"n": n, "p": rat_str(Fraction(p)), "rows": rows}, rows), fmt, None)
+    # Split at "\n" only, which keeps csv's "\r": the comparison stays exact.
+    assert out.split("\n") == capsys.readouterr().out.split("\n")
+
+
+def _dictwriter_csv(rows):
+    """The csv.DictWriter rendering of `rows`."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
@@ -243,7 +275,12 @@ def test_csv_matches_a_dictwriter_rendering(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     args = build_parser().parse_args(argv)
-    assert out == _dictwriter_csv(args.handler(args))
+    if argv[:2] == ["process", "enumerate"]:  # its handler returns text blocks, not rows
+        rows = _stream_records(args.n, args.p)
+    else:
+        output = args.handler(args)
+        rows = output.rows if output.rows is not None else _key_value_rows(output.data)
+    assert out == _dictwriter_csv(rows)
 
 
 def test_enumerate_csv_streams_its_rows():
@@ -273,19 +310,33 @@ class _CountingSink:
         pass
 
 
-def test_enumerate_table_streams_its_rows():
+def _traced_run(*argv):
+    """(exit code, characters printed, tracemalloc peak) of one in-process run."""
     sink = _CountingSink()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            code = main(["process", "enumerate", "--n", "14"])
+            code = main(list(argv))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 0 and sink.chars == (2**14 + 1) * 31  # 14 + 2 + len("1/16384") + 2 + 1 + 2 + 2 + 1
+    return code, sink.chars, peak
+
+
+def test_enumerate_table_streams_its_rows():
+    code, chars, peak = _traced_run("process", "enumerate", "--n", "14")
+    assert code == 0 and chars == (2**14 + 1) * 31  # 14 + 2 + len("1/16384") + 2 + 1 + 2 + 2 + 1
     # Peak over printed characters: 12.2 when every row was held for the
     # column widths, 0.3 streamed.
-    assert peak < sink.chars
+    assert peak < chars
+
+
+def test_enumerate_json_streams_its_rows():
+    code, chars, peak = _traced_run("process", "enumerate", "--n", "14", "--format", "json")
+    assert code == 0
+    # Peak over printed characters: 6.1 when every row was built and encoded
+    # before the first write, 0.2 streamed.
+    assert peak < chars
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

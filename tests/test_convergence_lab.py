@@ -488,8 +488,9 @@ def test_missing_weak_limit_is_reported_as_such():
 
 def test_order_b_scan_is_clipped_to_the_table():
     fam = table_family([lambda_measure()] * 6)
-    report = order_b_limit(fam, singleton_family(finite(0)), 64)
-    assert report.horizon_used == 6 and report.value == HALF
+    for order in (order_a_limit, order_b_limit):
+        report = order(fam, singleton_family(finite(0)), 64)
+        assert report.horizon_used == 6 and report.value == HALF
 
 
 # --- the horizon rule: at least 2, clipped to a table ---

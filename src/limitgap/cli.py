@@ -509,9 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+    try:  # parse_rational refuses a huge exponent as a domain error, not a usage error
+        args = build_parser().parse_args(argv)
         _emit(args.handler(args), args.format, args.out)
     except LimitGapError as exc:
         print(f"error: {exc}", file=sys.stderr)

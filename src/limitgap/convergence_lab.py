@@ -37,6 +37,7 @@ from .measure_core import (
     MeasurableSet,
     dirac,
     finite,
+    parse_rational,
     rat_str,
 )
 from .process_lab import FAIR, event_probability, lambda_measure, mu_closed_form
@@ -249,13 +250,13 @@ def parse_sequence_spec(text: str) -> RealSequence:
         if spec == "n":
             return RealSequence("affine", Fraction(0))
         if spec.startswith(("n+", "n-")):
-            return RealSequence("affine", Fraction(spec[1:]))
+            return RealSequence("affine", parse_rational(spec[1:]))
         if spec.endswith("+1/n"):
-            return RealSequence("approach_above", Fraction(spec[:-4]))
+            return RealSequence("approach_above", parse_rational(spec[:-4]))
         if spec.endswith("-1/n"):
-            return RealSequence("approach_below", Fraction(spec[:-4]))
-        return RealSequence("const", Fraction(spec))
-    except (ValueError, ZeroDivisionError):
+            return RealSequence("approach_below", parse_rational(spec[:-4]))
+        return RealSequence("const", parse_rational(spec))
+    except ValueError:  # BadRationalError is a ValueError
         raise BadSequenceSpecError(
             f"unsupported sequence spec {text!r}; use n, n+c, n-c, q+1/n, q-1/n, or q"
         ) from None
@@ -457,17 +458,14 @@ def tightness_probe(
             "bounded interval once n passes its right endpoint, so "
             "sup_n rho_n(I^c) = 1 >= epsilon",
         )
+    members = [fam.member(n) for n in range(1, scan + 1)]
     finite_points = [
-        p
-        for n in range(1, scan + 1)
-        for p in fam.member(n).support
-        if isinstance(p, ExtReal) and p.is_finite
+        p for m in members for p in m.support if isinstance(p, ExtReal) and p.is_finite
     ]
     if finite_points:
         hull = MeasurableSet.interval(min(finite_points), max(finite_points))
         worst_n, worst_outside = 1, Fraction(0)
-        for n in range(1, scan + 1):
-            m = fam.member(n)
+        for n, m in enumerate(members, 1):
             outside = m.total - m.mass_of_set(hull)
             if outside > worst_outside:
                 worst_n, worst_outside = n, outside

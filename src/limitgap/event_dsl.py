@@ -93,7 +93,7 @@ Node = Cmp | Not | And | Or
 
 @dataclass(frozen=True, slots=True)
 class EventPredicate:
-    """A parsed event expression; evaluate with eval_event or compile_event."""
+    """A parsed event expression; compile_event evaluates it, and eval_event wraps that."""
 
     root: Node
 
@@ -301,35 +301,14 @@ def _print_node(node: Node) -> str:
 
 
 def eval_event(e: EventPredicate, row) -> bool:
-    """Evaluate a predicate on a ProcessRow (anything with .outcome/.y/.z)."""
+    """Evaluate a predicate on a ProcessRow (anything with .outcome/.y/.z).
+
+    This is compile_event at the row's horizon n = len(row.outcome.bits), so
+    it raises IndexOutOfRangeError for any X[i] with i > n, on every row.
+    """
     bits = row.outcome.bits
-    return _eval_node(e.root if isinstance(e, EventPredicate) else e,
-                      bits, row.y, row.z, len(bits))
-
-
-def _eval_term(term: Term, bits, y: int, z: int, n: int) -> int:
-    if isinstance(term, Lit):
-        return term.value
-    if isinstance(term, Var):
-        return {"Y": y, "Z": z, "N": n}[term.name]
-    index = n if term.index is None else term.index
-    if index > n:
-        raise IndexOutOfRangeError(f"X[{index}] referenced but horizon is {n}")
-    return bits[index - 1]
-
-
-def _eval_node(node: Node, bits, y: int, z: int, n: int) -> bool:
-    if isinstance(node, Cmp):
-        return _CMP_FUNCS[node.op](
-            _eval_term(node.lhs, bits, y, z, n), _eval_term(node.rhs, bits, y, z, n)
-        )
-    if isinstance(node, Not):
-        return not _eval_node(node.operand, bits, y, z, n)
-    if isinstance(node, And):
-        return _eval_node(node.lhs, bits, y, z, n) and _eval_node(
-            node.rhs, bits, y, z, n
-        )
-    return _eval_node(node.lhs, bits, y, z, n) or _eval_node(node.rhs, bits, y, z, n)
+    v = sum(bit << i for i, bit in enumerate(bits))
+    return compile_event(e, len(bits))(v, row.y, row.z)
 
 
 def compile_event(e: EventPredicate, n: int) -> Callable[[int, int, int], bool]:

@@ -11,24 +11,39 @@ with set equality.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import BadRationalError, NegativeMassError, TotalExceedsOneError
+from .errors import BadRationalError, DomainError, NegativeMassError, TotalExceedsOneError
 
 _NEG, _FIN, _POS = -1, 0, 1
+_EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 
 def rat_str(q: Fraction) -> str:
     """Canonical "num/den" rendering, denominator always present."""
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"a rational past the {limit}-digit limit cannot be printed") from None
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" (or a plain integer string) into an exact rational."""
+    """Parse "a/b" (or a plain integer string) into an exact rational.
+
+    An exponent whose power of ten would pass sys.get_int_max_str_digits() is
+    refused before that power is built.
+    """
+    stripped = text.strip()
+    exponent, limit = _EXPONENT.search(stripped), sys.get_int_max_str_digits()
     try:
-        return Fraction(text.strip())
+        if exponent and 0 < limit <= abs(int(exponent[1])):
+            raise DomainError(f"the exponent of {text!r} passes the {limit}-digit limit")
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError):
         raise BadRationalError(f"not an exact rational: {text!r}") from None
 

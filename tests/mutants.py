@@ -8,8 +8,8 @@ A mutant is one (old, new) text replacement in one file of the limitgap
 package, plus the pytest ids that must catch it.  For each mutant the runner
 copies src/, tests/, pyproject.toml and README.md (whose examples a test
 runs) into a fresh temporary directory, applies the replacement there and
-runs the named tests; the copied pyproject's `pythonpath = ["src"]` puts the
-mutated package ahead of any installed one.
+runs the named tests; the copied pyproject's `pythonpath = ["src", "tests"]`
+puts the mutated package ahead of any installed one.
 Before any mutant, the named tests must pass on an unmutated copy.  Each
 mutant is reported as killed (its tests fail), survived (they pass), stale
 (its old text is not in the file exactly once) or error (pytest could not
@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 13 below take about 30 s on a 2-core host.
+start-up plus its tests, and the 16 below take about 30 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 CLI = "tests/test_cli.py::"
 CONVERGENCE = "tests/test_convergence_lab.py::"
+EVENT = "tests/test_event_dsl.py::"
 PROCESS = "tests/test_process_lab.py::"
 
 MUTANTS = (
@@ -95,6 +96,18 @@ MUTANTS = (
            "size += 1",
            ("tests/test_event_dsl.py::"
             "test_an_event_past_the_cap_is_refused_at_its_first_token_too_many[bare-nots]",)),
+    Mutant("Z read as Y", "event_dsl.py",
+           "return lambda v, y, z: z",
+           "return lambda v, y, z: y",
+           (EVENT + "test_compiled_closure_agrees_with_the_interpreter",)),
+    Mutant("&& compiled as ||", "event_dsl.py",
+           "return lambda v, y, z: lhs(v, y, z) and rhs(v, y, z)",
+           "return lambda v, y, z: lhs(v, y, z) or rhs(v, y, z)",
+           (EVENT + "test_compiled_closure_agrees_with_the_interpreter",)),
+    Mutant("eval_event reads the bits reversed", "event_dsl.py",
+           "v = sum(bit << i for i, bit in enumerate(bits))",
+           "v = sum(bit << i for i, bit in enumerate(reversed(bits)))",
+           (EVENT + "test_compiled_closure_agrees_with_the_interpreter",)),
     Mutant('complement("R") acts as "Rbar"', "measure_core.py",
            "infinities: tuple[ExtReal, ...] = (NEG_INF, POS_INF)",
            "infinities: tuple[ExtReal, ...] = ()",

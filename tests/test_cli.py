@@ -9,6 +9,7 @@ import json
 import re
 import shlex
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -754,6 +755,31 @@ def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload, arg
     assert named.format(path=path) in err and "Traceback" not in err
 
 
+SEVENS = "1/" + "7" * 1000  # its sixth power has 5,000 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"process prob --n 6 --p {SEVENS} --event Y==1",
+        f"process identities --n 6 --p {SEVENS}",
+        "process prob --n 6 --p 1e10000000 --event Y==1",
+        "converge branches --family mu --xs 1e5000",
+        "converge limit --order a --family lambda --sets I=1e5000",
+        "converge tightness --family mu --epsilon 1e-5000",
+        "measure additivity --family mu --set-a I=1e5000 --set-b I=1",
+    ],
+    ids=["prob", "identities", "p-exponent", "branches", "limit", "tightness", "additivity"],
+)
+def test_a_rational_past_the_digit_limit_exits_with_one_error_line(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+
 CONVERGE_OPTIONS = {
     "tightness": ["--epsilon", "1/2"],
     "limit": ["--sets", "I(n-1)", "--order", "b"],
@@ -890,13 +916,14 @@ def test_missing_subcommand_exits_with_code_two(capsys):
     capsys.readouterr()
 
 
-FUZZ_RATIONALS = ["1/2", "1/3", "0", "-1", "2", "abc", "1/0", "", "+inf", "nan"]
+FUZZ_RATIONALS = ["1/2", "1/3", "0", "-1", "2", "abc", "1/0", "", "+inf", "nan", SEVENS,
+                  "1e-5000", "1e10000000"]
 FUZZ_FAMILIES = ["mu", "lambda", "dirac_n", "nu", "", "@{dir}/family.json",
                  "@{dir}/missing.json", "@{dir}/bad.json", "@{dir}/deep.json"]
-FUZZ_SET = ["I=1/2", "I=abc", "I=1/0", "point=1", "point=+inf", "point=x",
+FUZZ_SET = ["I=1/2", "I=abc", "I=1/0", "I=1e5000", "point=1", "point=+inf", "point=x",
             "@{dir}/set.json", "@{dir}/sets.json", "@{dir}/missing.json", "@{dir}/deep.json", "x"]
 FUZZ_SETS = ["I(n-1)", "I(n)", "I(1/n)", "I(n^2)", "I()", "@{dir}/family.json", *FUZZ_SET]
-FUZZ_XS = ["n-1", "n", "1/n", "1/2", "n^2", "", "x"]
+FUZZ_XS = ["n-1", "n", "1/n", "1/2", "n^2", "", "x", "1e5000", "n+1e5000"]
 FUZZ_EVENTS = ["X[N]==0", "X[N]==0 && Z<N", "Y==1 || Z==N", "X[0]==1", "X[99]==1",
                "Y==", "((", "", "X[²]==1", "Y==" + "9" * 5000, "(" * 300 + "Y==1" + ")" * 300,
                "Y==1 && " * 2999 + "Y==1"]

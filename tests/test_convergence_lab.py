@@ -313,6 +313,18 @@ def test_table_with_escaping_mass_is_inconclusive_not_refuted():
     assert "cannot exhibit" in verdict.witness
 
 
+def test_tightness_on_a_table_requests_each_member_once(monkeypatch):
+    requests = []
+    member = MeasureFamily.member
+    monkeypatch.setattr(
+        MeasureFamily, "member", lambda self, n: requests.append(n) or member(self, n)
+    )
+    fam = table_family([from_mass_pairs([(k, 1)]) for k in range(6)])
+    verdict = tightness_probe(fam, F(1, 8), 64)
+    assert verdict.tight is True and "worst member n=1" in verdict.witness
+    assert requests == [1, 2, 3, 4, 5, 6]
+
+
 # --- weak limits ---
 
 

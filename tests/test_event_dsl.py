@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import event_oracle
 import limitgap
 from limitgap.errors import EventParseError, IndexOutOfRangeError
 from limitgap.event_dsl import (
@@ -162,7 +163,8 @@ def test_de_morgan_on_random_predicates():
         negated_and = EventPredicate(Not(And(a, b)))
         or_of_negs = EventPredicate(Or(Not(a), Not(b)))
         for row in rows:
-            assert eval_event(negated_and, row) == eval_event(or_of_negs, row)
+            for evaluate in (event_oracle.eval_event, eval_event):
+                assert evaluate(negated_and, row) == evaluate(or_of_negs, row)
 
 
 def test_compiled_closure_agrees_with_the_interpreter():
@@ -175,7 +177,7 @@ def test_compiled_closure_agrees_with_the_interpreter():
         e = EventPredicate(_random_node(rng, 3))
         fn = compile_event(e, n)
         for v, row in enumerate(rows):
-            assert fn(v, row.y, row.z) == eval_event(e, row)
+            assert fn(v, row.y, row.z) == eval_event(e, row) == event_oracle.eval_event(e, row)
 
 
 def test_index_beyond_horizon_raises_on_eval_and_compile():
@@ -185,6 +187,17 @@ def test_index_beyond_horizon_raises_on_eval_and_compile():
         eval_event(e, row)
     with pytest.raises(IndexOutOfRangeError, match="horizon is 6"):
         compile_event(e, 6)
+    # the oracle short-circuits past X[1] == 0; eval_event compiles, so it raises on every row
+    e = parse_event("X[1]==0 || X[7]==1")
+    answered = []
+    for row in enumerate_outcomes(6):
+        with pytest.raises(IndexOutOfRangeError, match="horizon is 6"):
+            eval_event(e, row)
+        try:
+            answered.append(event_oracle.eval_event(e, row))
+        except IndexOutOfRangeError:
+            assert row.outcome.bits[0] == 1
+    assert answered == [True] * 32
 
 
 # --- parse errors ---
@@ -336,7 +349,8 @@ def test_an_event_at_the_cap_runs_in_half_the_free_stack(src):
         assert parse_event(print_event(e)) == e
         assert e.max_coord_index() == 0
         assert event_probability(2, Fraction(1, 2), e) in (Fraction(1, 4), Fraction(3, 4))
-        assert eval_event(e, enumerate_outcomes(2)[1]) in (False, True)
+        row = enumerate_outcomes(2)[1]
+        assert eval_event(e, row) == event_oracle.eval_event(e, row) in (False, True)
     finally:
         sys.setrecursionlimit(limit)
 

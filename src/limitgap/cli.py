@@ -402,8 +402,7 @@ def _cmd_compactify(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_theorem_verify(args: argparse.Namespace) -> _Output:
-    report = verify_theorem(args.n_max)
-    data = report.to_dict()
+    data = verify_theorem(args.n_max)
     tail = (
         f"order (a): {data['order_a'].get('value')}"
         f"\norder (b): {data['order_b'].get('value')}"

@@ -624,24 +624,21 @@ def integral_limit(
 # the two evaluation orders
 
 
-def order_a_limit(
-    fam: MeasureFamily, sets: SetFamily, horizon: int = 32
-) -> LimitReport:
-    """Order (a): the limiting measure applied to the limiting set.
-
-    The result is always a mass — measure_tag and set_tag name which measure
-    and which set produced it.
-    """
+def _limit_measure(fam: MeasureFamily, horizon: int) -> DiscreteMeasure:
+    """The weak limit order (a) applies; failing to identify it is NoWeakLimitError."""
     try:
-        rho = weak_limit_identify(fam, horizon)
+        return weak_limit_identify(fam, horizon)
     except InconclusiveError as exc:
         raise NoWeakLimitError(str(exc)) from exc
+
+
+def _order_a(rho: DiscreteMeasure, sets: SetFamily, scan: int) -> LimitReport:
+    """The order-(a) report for rho, a weak limit already identified."""
     alpha, notion = sets.limit()
-    value = rho.mass_of_set(alpha)
     return LimitReport(
         order="a",
-        value=value,
-        horizon_used=_scan(horizon, fam),
+        value=rho.mass_of_set(alpha),
+        horizon_used=scan,
         witness=f"limit measure {rho} applied to limit set {alpha} "
         f"({notion} limit of {sets.describe()})",
         measure_tag=str(rho),
@@ -649,17 +646,10 @@ def order_a_limit(
     )
 
 
-def order_b_limit(
-    fam: MeasureFamily, sets: SetFamily, horizon: int
+def _order_b(
+    fam: MeasureFamily, sets: SetFamily, horizon: int, order_a: Callable[[], LimitReport]
 ) -> LimitReport:
-    """Order (b): the numeric limit of the per-n masses rho_n(alpha_n).
-
-    The result is a bare number, never tagged with a measure or a set.  It
-    is probability-eligible exactly when it equals the order-(a) value for
-    the same inputs; the flag is omitted when order (a) is unavailable.
-    Only the last _TAIL masses up to the scan horizon are computed, since
-    they are all the limit detector reads.
-    """
+    """The order-(b) report, graded against order_a(), called once a limit is found."""
     scan = _scan(horizon, fam, sets)
     values = [
         fam.member(n).mass_of_set(sets.member(n))
@@ -672,7 +662,7 @@ def order_b_limit(
             f"{analysis.witness}"
         )
     try:
-        eligible = analysis.value == order_a_limit(fam, sets, horizon).value
+        eligible = analysis.value == order_a().value
     except (NoWeakLimitError, NoSetLimitError):
         eligible = None
     return LimitReport(
@@ -683,6 +673,31 @@ def order_b_limit(
         eligible=eligible,
         witness_pair=analysis.pair,
     )
+
+
+def order_a_limit(
+    fam: MeasureFamily, sets: SetFamily, horizon: int = 32
+) -> LimitReport:
+    """Order (a): the limiting measure applied to the limiting set.
+
+    The result is always a mass — measure_tag and set_tag name which measure
+    and which set produced it.
+    """
+    return _order_a(_limit_measure(fam, horizon), sets, _scan(horizon, fam))
+
+
+def order_b_limit(
+    fam: MeasureFamily, sets: SetFamily, horizon: int
+) -> LimitReport:
+    """Order (b): the numeric limit of the per-n masses rho_n(alpha_n).
+
+    The result is a bare number, never tagged with a measure or a set.  It
+    is probability-eligible exactly when it equals order_a_limit's value for
+    the same inputs, which is sought only once a limit is detected; the flag
+    is omitted when order (a) is unavailable.  Only the last _TAIL masses up
+    to the scan horizon are computed, since they are all the detector reads.
+    """
+    return _order_b(fam, sets, horizon, lambda: order_a_limit(fam, sets, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -733,15 +748,17 @@ def branch_check(
     either settles at a finite x — where agreement of the orders is predicted
     at continuity points — or climbs to +inf, where the prediction splits on
     the tightness verdict.  The report carries both orders, the verdict, the
-    prediction, and whether it held.
+    prediction, and whether it held.  The weak limit is identified once, or
+    NoWeakLimitError raised, and serves order (a), the eligibility of order
+    (b), and the continuity and infinity masses.
     """
     if isinstance(xs, str):
         xs = parse_sequence_spec(xs)
     sets = lower_ray_family(xs)
-    order_a = order_a_limit(fam, sets, horizon)
-    order_b = order_b_limit(fam, sets, horizon)
+    rho = _limit_measure(fam, horizon)
+    order_a = _order_a(rho, sets, _scan(horizon, fam))
+    order_b = _order_b(fam, sets, horizon, lambda: order_a)
     tightness = tightness_probe(fam, Fraction(1, 2), horizon)
-    rho = weak_limit_identify(fam, horizon)
     continuity_mass = infinity_mass = None
     if xs.limit.is_finite:
         branch = "a"
@@ -791,57 +808,17 @@ def branch_check(
 # the end-to-end walkthrough
 
 
-@dataclass(frozen=True, slots=True)
-class TheoremRow:
-    n: int
-    last_flip_zero: Fraction  # P(X_N == 0)
-    split_below: Fraction  # P(X_N == 0 and Z < N)
-    split_at: Fraction  # P(X_N == 0 and Z == N)
-    ray_mass: Fraction  # mu_n((-inf, n-1])
-
-
-@dataclass(frozen=True, slots=True)
-class TheoremReport:
-    """The full two-route pipeline for the limit of P(X_n = 0).
-
-    Each row decomposes the constant 1/2 into the two split events and
-    records the ray mass mu_n((-inf, n-1]).  The two orders then evaluate
-    the limit of that ray mass: order (b) follows the numbers to 1/2, order
-    (a) applies the limiting measure to the limiting set and gets 0.
-    divergence_step names the exact substitution where the routes part.
-    """
-
-    rows: tuple[TheoremRow, ...]
-    order_a: LimitReport
-    order_b: LimitReport
-    divergence_step: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rows": [
-                {
-                    "n": r.n,
-                    "p_last_zero": rat_str(r.last_flip_zero),
-                    "p_last_zero_and_z_below": rat_str(r.split_below),
-                    "p_last_zero_and_z_at": rat_str(r.split_at),
-                    "ray_mass": rat_str(r.ray_mass),
-                }
-                for r in self.rows
-            ],
-            "order_a": self.order_a.to_dict(),
-            "order_b": self.order_b.to_dict(),
-            "divergence_step": self.divergence_step,
-        }
-
-
-def verify_theorem(n_max: int) -> TheoremReport:
+def verify_theorem(n_max: int) -> dict[str, Any]:
     """Walk the decomposition P(X_n=0) = P(X_n=0, Z<n) + P(X_n=0, Z=n) to
     its limit under both evaluation orders.
 
-    Every row's ray mass under mu_n is checked against the split
+    Every row's ray mass mu_n((-inf, n-1]) is checked against the split
     probability, and rows for n up to 12 are also cross-checked against
     exhaustive enumeration; a mismatch would mean the closed forms and the
-    oracle disagree, which is a broken build, not a domain error.
+    oracle disagree, which is a broken build, not a domain error.  Both
+    orders come from branch_check(mu, "n-1", 32).  Returns the `theorem
+    verify` payload: rows rendered by rat_str, the two order reports, and
+    the divergence_step where the routes part.
     """
     if not 2 <= n_max <= 20:
         raise NRangeError(f"n_max must lie in [2, 20], got {n_max}")
@@ -876,16 +853,20 @@ def verify_theorem(n_max: int) -> TheoremReport:
             )
         if last_zero != split_below + split_at:
             raise RuntimeError(f"row decomposition broken at n={n}")
-        rows.append(TheoremRow(n, last_zero, split_below, split_at, ray_mass))
-    fam = builtin_family("mu")
-    sets = lower_ray_family(parse_sequence_spec("n-1"))
-    order_a = order_a_limit(fam, sets)
-    order_b = order_b_limit(fam, sets, horizon=32)
-    divergence_step = (
-        "the per-n identities are exact; the routes part at the final "
-        "substitution, where the limit of the numbers mu_n((-inf, n-1]) "
-        f"(order b, {rat_str(order_b.value)}) is replaced by the mass of the "
-        f"limiting set under the limiting measure (order a, "
-        f"{rat_str(order_a.value)})"
-    )
-    return TheoremReport(tuple(rows), order_a, order_b, divergence_step)
+        rows.append({"n": n, "p_last_zero": rat_str(last_zero),
+                     "p_last_zero_and_z_below": rat_str(split_below),
+                     "p_last_zero_and_z_at": rat_str(split_at),
+                     "ray_mass": rat_str(ray_mass)})
+    report = branch_check(builtin_family("mu"), "n-1", 32)
+    return {
+        "rows": rows,
+        "order_a": report.order_a.to_dict(),
+        "order_b": report.order_b.to_dict(),
+        "divergence_step": (
+            "the per-n identities are exact; the routes part at the final "
+            "substitution, where the limit of the numbers mu_n((-inf, n-1]) "
+            f"(order b, {rat_str(report.order_b.value)}) is replaced by the mass "
+            f"of the limiting set under the limiting measure (order a, "
+            f"{rat_str(report.order_a.value)})"
+        ),
+    }

@@ -447,6 +447,9 @@ def set_to_dict(s: MeasurableSet) -> dict[str, Any]:
 
 
 def set_from_dict(data: dict[str, Any]) -> MeasurableSet:
+    for key, value in data.items():
+        if key not in ("intervals", "points") or not isinstance(value, list):
+            raise ValueError(f"a set takes lists under intervals and points, got {key!r}")
     intervals = [
         Interval(
             parse_ext_real(rec["lo"]),

@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 16 below take about 30 s on a 2-core host.
+start-up plus its tests, and the 17 below take about 40 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -64,9 +64,13 @@ MUTANTS = (
            "lines(0, 1, n, slice(1))",
            (CLI + "test_enumerate_matches_the_generic_renderer[4-1/3-csv]",)),
     Mutant("order (a) reports the requested horizon", "convergence_lab.py",
-           "horizon_used=_scan(horizon, fam),",
-           "horizon_used=horizon,",
+           "return _order_a(_limit_measure(fam, horizon), sets, _scan(horizon, fam))",
+           "return _order_a(_limit_measure(fam, horizon), sets, horizon)",
            (CONVERGENCE + "test_order_b_scan_is_clipped_to_the_table",)),
+    Mutant("branch_check grades order (b) against the wrong report", "convergence_lab.py",
+           "_order_b(fam, sets, horizon, lambda: order_a)",
+           "_order_b(fam, sets, horizon, lambda: _order_a(dirac(POS_INF), sets, horizon))",
+           (CONVERGENCE + "test_branch_check_reports_what_the_standalone_orders_report[lambda-n-1]",)),
     Mutant("csv itemgetter reversed", "cli.py",
            "map(operator.itemgetter(*header), rows)",
            "map(operator.itemgetter(*reversed(header)), rows)",

@@ -188,6 +188,30 @@ def test_enumerate_prints_the_pinned_bytes(capsys, n, p, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[n, p, fmt]
 
 
+# sha256 of `theorem verify` stdout, recorded while TheoremReport built the payload
+THEOREM_DIGESTS = {
+    ("2", "table"): "7d82ea6a241ac2a6350fe5c5060b931e03f4f2a20e67fc33e1b55236655fb1a1",
+    ("2", "json"): "c4951dfc30e0c23f9cc13ce22be6b77884ce2d92beaea76d769cb800c39b4f7b",
+    ("2", "csv"): "60946a90438e9b06ee2d9b1b34fd66af3b50666ab9dbb8c2ee3b3403c75aacf8",
+    ("12", "table"): "7e42dc930c83b8af9d9b2c6a25f0d149546708684ebe34966ea103b116eeee08",
+    ("12", "json"): "55583f9105a42c80a95f7021f0e8d136d396a3b26a6d73c9e75745421c65bbc8",
+    ("12", "csv"): "b6746a432a75de8e2a22a5fb0c7dbc471585f02347822bd063fbf0b238548f89",
+    ("13", "table"): "281898b48803e9331b87a2b35b33b1afdfb2c35063c348d5741d3f89309e6905",
+    ("13", "json"): "8db38e9db58941b212dd8af4992189751edef2244d749735a450bb1983f2bb29",
+    ("13", "csv"): "3177e8d4f0794df2b7d32e2dfcdf2251be83e659a164fbff2734aa418057ac2e",
+    ("20", "table"): "876905a5cd7a7c9aab8586a7522b588eb528471c2c6d9e44bff95c0152898b6b",
+    ("20", "json"): "91dac468dfa17ea38e79eb5872f1e8cd403bbf040bcda7792fd14a3438b5d8fc",
+    ("20", "csv"): "68cb3dfff677d12d4baf27aa590f1a9476fb03d84522557ef42a20c0c2177248",
+}
+
+
+@pytest.mark.parametrize("n_max, fmt", list(THEOREM_DIGESTS))
+def test_theorem_verify_prints_the_pinned_bytes(capsys, n_max, fmt):
+    code, out, err = run(capsys, "theorem", "verify", "--n-max", n_max, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == THEOREM_DIGESTS[n_max, fmt]
+
+
 # n = 1 has an empty low half, and odd n a high half one bit longer than the low.
 @pytest.mark.parametrize("p", ["1/2", "1/3", "5/7"])
 @pytest.mark.parametrize("n", range(1, 14))
@@ -705,6 +729,12 @@ def test_usage_errors_exit_with_code_two(capsys):
 
 
 SHOW_FILE = ("measure", "show", "--family", "@{path}")
+ADDITIVITY_FILE = ("measure", "additivity", "--family", "lambda",
+                   "--set-a", "@{path}", "--set-b", "I=-1")
+UNIT_AND_INF = {  # [0, 1] with +inf, of lambda-mass 1
+    "intervals": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": True}],
+    "points": ["+inf"],
+}
 
 
 @pytest.mark.parametrize(
@@ -732,6 +762,9 @@ SHOW_FILE = ("measure", "show", "--family", "@{path}")
         ),
         (None, ("measure", "show", "--family", "mu", "--out", "{path}/x.txt"), "{path}/x.txt"),
         ("[" * 100000 + "]" * 100000, SHOW_FILE, "{path}"),
+        (json.dumps({"sets": [UNIT_AND_INF]}), ADDITIVITY_FILE, "'sets'"),
+        (json.dumps({"interval": UNIT_AND_INF["intervals"]}), ADDITIVITY_FILE, "'interval'"),
+        (json.dumps({"points": "12"}), ADDITIVITY_FILE, "'points'"),
     ],
     ids=[
         "missing-file",
@@ -743,6 +776,9 @@ SHOW_FILE = ("measure", "show", "--family", "@{path}")
         "ray-zero-denominator",
         "out-dir-missing",
         "too-deeply-nested",
+        "set-file-in-sets-form",
+        "set-key-misspelt",
+        "set-points-not-a-list",
     ],
 )
 def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload, argv, named):

@@ -35,6 +35,7 @@ from limitgap.errors import (
     DomainError,
     EvaluationError,
     InconclusiveError,
+    LimitGapError,
     NoSetLimitError,
     NoWeakLimitError,
 )
@@ -625,6 +626,12 @@ _ORACLE_TABLES = {
         builtin_family("mu"),
         set_table_family([MeasurableSet.lower_ray(finite(k)) for k in range(11)]),
     ),
+    "flapping-set-list": (  # order (b) is 1/2, and the sets have no limit
+        builtin_family("lambda"),
+        set_table_family(
+            [MeasurableSet.singleton(finite(0)), MeasurableSet.singleton(finite(1))] * 4
+        ),
+    ),
 }
 
 
@@ -633,7 +640,12 @@ def test_order_b_matches_the_brute_force_oracle_on_tables(case):
     fam, sets = _ORACLE_TABLES[case]
     for horizon in (*range(2, 41), 64):
         expected = _order_b_oracle(fam, sets, horizon)
-        assert _order_b_or_error(fam, sets, horizon) == expected, horizon
+        got = _order_b_or_error(fam, sets, horizon)
+        assert got == expected, horizon
+        try:
+            order_a_limit(fam, sets, horizon)
+        except (NoWeakLimitError, NoSetLimitError):
+            assert isinstance(got, str) or got["eligible"] is None, horizon
 
 
 def test_order_b_requests_only_the_members_it_reads(monkeypatch):
@@ -652,7 +664,60 @@ def test_order_b_requests_only_the_members_it_reads(monkeypatch):
     assert len(requests) == _TAIL
 
 
+def test_branch_check_and_the_theorem_identify_the_weak_limit_once(monkeypatch):
+    identified, requests = [], []
+    identify, member = convergence_lab.weak_limit_identify, MeasureFamily.member
+    monkeypatch.setattr(
+        convergence_lab,
+        "weak_limit_identify",
+        lambda fam, horizon: identified.append(fam.kind) or identify(fam, horizon),
+    )
+    monkeypatch.setattr(
+        MeasureFamily, "member", lambda self, n: requests.append(n) or member(self, n)
+    )
+    branch_check(table_family([lambda_measure()] * 6), "n+2", 64)
+    # one weak limit, order (b), tightness: six members each
+    assert identified == ["table"] and len(requests) == 18
+    identified.clear()
+    verify_theorem(12)
+    assert identified == ["mu"]
+
+
 # --- branch checks ---
+
+
+_BRANCH_FAMILIES = {
+    "mu": builtin_family("mu"),
+    "lambda": builtin_family("lambda"),
+    "dirac_n": builtin_family("dirac_n"),
+    "settling-table": table_family(
+        [from_mass_pairs([(0, F(1, 2**n)), (1, 1 - F(1, 2**n))]) for n in range(1, 13)]
+    ),
+    "alternating-table": table_family([dirac(finite(0)), dirac(finite(1))] * 6),
+}
+
+
+def _report_or_error(order, *args):
+    try:
+        return order(*args)
+    except LimitGapError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", ["n-1", "n+2", "1/2+1/n", "3-1/n", "0", "1"])
+@pytest.mark.parametrize("family", sorted(_BRANCH_FAMILIES))
+def test_branch_check_reports_what_the_standalone_orders_report(family, spec):
+    fam, sets = _BRANCH_FAMILIES[family], lower_ray_family(parse_sequence_spec(spec))
+    for horizon in (2, 9, 33):
+        orders = [_report_or_error(order, fam, sets, horizon)
+                  for order in (order_a_limit, order_b_limit)]
+        errors = [order for order in orders if isinstance(order, tuple)]
+        try:
+            report = branch_check(fam, spec, horizon)
+        except LimitGapError as exc:  # the first order to fail names the error
+            assert errors and (type(exc), str(exc)) == errors[0], horizon
+        else:
+            assert [report.order_a, report.order_b] == orders, horizon
 
 
 def test_branch_for_thresholds_settling_at_a_continuity_point():
@@ -738,4 +803,4 @@ def test_theorem_checks_the_ray_mass_past_the_enumeration_rows(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="n=15"):
         verify_theorem(20)
-    assert len(verify_theorem(14).rows) == 13
+    assert len(verify_theorem(14)["rows"]) == 13

@@ -45,7 +45,6 @@ from .measure_core import (
     DiscreteMeasure,
     MeasurableSet,
     check_additivity,
-    finite,
     measure_from_dict,
     measure_to_dict,
     parse_ext_real,
@@ -127,10 +126,8 @@ def _set_family_arg(spec: str) -> SetFamily:
 
 
 def _single_set_arg(spec: str) -> MeasurableSet:
-    if spec.startswith("I="):
-        return MeasurableSet.lower_ray(finite(parse_rational(spec[2:])))
-    if spec.startswith("point="):
-        return MeasurableSet.singleton(parse_ext_real(spec[6:]))
+    if spec.startswith(("I=", "point=")):
+        return _set_family_arg(spec).member(1)
     if spec.startswith("@"):
         return _load_json(spec[1:], set_from_dict)
     raise LimitGapError(
@@ -236,25 +233,20 @@ def _check_member_n(n: int) -> None:
         raise NRangeError(f"n must be at most {MEMBER_MAX_N}, got {n}")
 
 
-def _cmd_measure_show(args: argparse.Namespace) -> _Output:
+def _member_arg(args: argparse.Namespace) -> DiscreteMeasure:
+    """Member --n of --family, with n checked before a family file is read."""
     _check_member_n(args.n)
-    fam = _family_arg(args.family)
-    return _measure_output(fam.member(args.n))
+    return _family_arg(args.family).member(args.n)
+
+
+def _cmd_measure_show(args: argparse.Namespace) -> _Output:
+    return _measure_output(_member_arg(args))
 
 
 def _cmd_measure_additivity(args: argparse.Namespace) -> _Output:
-    _check_member_n(args.n)
-    fam = _family_arg(args.family)
-    m = fam.member(args.n)
+    m = _member_arg(args)
     report = check_additivity(m, _single_set_arg(args.set_a), _single_set_arg(args.set_b))
-    return _Output({
-        "mass_a": rat_str(report.mass_a),
-        "mass_b": rat_str(report.mass_b),
-        "mass_union": rat_str(report.mass_union),
-        "mass_sum": rat_str(report.mass_sum),
-        "disjoint": report.disjoint,
-        "eligible": report.eligible,
-    })
+    return _Output(report.to_dict())
 
 
 # Every format streams the 2**n rows a block at a time, so n is bounded by
@@ -396,9 +388,7 @@ def _cmd_converge_branches(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_compactify(args: argparse.Namespace) -> _Output:
-    _check_member_n(args.n)
-    fam = _family_arg(args.family)
-    return _measure_output(compactify_measure(fam.member(args.n)))
+    return _measure_output(compactify_measure(_member_arg(args)))
 
 
 def _cmd_theorem_verify(args: argparse.Namespace) -> _Output:

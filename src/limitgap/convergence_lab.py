@@ -13,8 +13,9 @@ stabilized subsequences; anything else is inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from .errors import (
@@ -51,7 +52,7 @@ def _value_json(value: Any) -> Any:
         return rat_str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
-    return value
+    return value.to_dict() if hasattr(value, "to_dict") else value
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,19 @@ def analyze_rational_sequence(
 # families
 
 
+def _check_index(n: int, table: tuple | None, noun: str, table_noun: str) -> None:
+    """Refuse a 1-based index below 1, or past the end of a table."""
+    if n < 1:
+        raise DomainError(f"{noun} index must be at least 1, got {n}")
+    if table is not None and n > len(table):
+        raise DomainError(f"{table_noun} has {len(table)} members, index {n} requested")
+
+
+def _clip(table: tuple | None, horizon: int) -> int:
+    """The horizon, clipped to the length of a table."""
+    return horizon if table is None else min(horizon, len(table))
+
+
 @dataclass(frozen=True)
 class MeasureFamily:
     """An indexed sequence n -> probability measure, built-in or tabulated."""
@@ -154,24 +168,17 @@ class MeasureFamily:
     table: tuple[DiscreteMeasure, ...] | None = None
 
     def member(self, n: int) -> DiscreteMeasure:
-        if n < 1:
-            raise DomainError(f"family index must be at least 1, got {n}")
+        _check_index(n, self.table, "family", "explicit family")
         if self.kind == "mu":
             return mu_closed_form(n)
         if self.kind == "lambda":
             return lambda_measure()
         if self.kind == "dirac_n":
             return dirac(finite(n))
-        if n > len(self.table):
-            raise DomainError(
-                f"explicit family has {len(self.table)} members, index {n} requested"
-            )
         return self.table[n - 1]
 
     def clip_horizon(self, horizon: int) -> int:
-        if self.table is not None:
-            return min(horizon, len(self.table))
-        return horizon
+        return _clip(self.table, horizon)
 
 
 def builtin_family(name: str) -> MeasureFamily:
@@ -277,22 +284,15 @@ class SetFamily:
     table: tuple[MeasurableSet, ...] | None = None
 
     def member(self, n: int) -> MeasurableSet:
-        if n < 1:
-            raise DomainError(f"set index must be at least 1, got {n}")
+        _check_index(n, self.table, "set", "explicit set list")
         if self.kind == "ray_seq":
             return MeasurableSet.lower_ray(finite(self.seq.value(n)))
         if self.kind == "singleton":
             return MeasurableSet.singleton(self.point)
-        if n > len(self.table):
-            raise DomainError(
-                f"explicit set list has {len(self.table)} members, index {n} requested"
-            )
         return self.table[n - 1]
 
     def clip_horizon(self, horizon: int) -> int:
-        if self.table is not None:
-            return min(horizon, len(self.table))
-        return horizon
+        return _clip(self.table, horizon)
 
     def limit(self) -> tuple[MeasurableSet, str]:
         """The limiting set and the monotonicity notion that produced it."""
@@ -426,10 +426,10 @@ def tightness_probe(
     if not 0 < epsilon < 1:
         raise BadEpsilonError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
     scan = _scan(horizon, fam)
+    verdict = partial(TightnessVerdict, epsilon=epsilon)
     if fam.kind == "lambda":
-        return TightnessVerdict(
+        return verdict(
             tight=True,
-            epsilon=epsilon,
             witness="every member is supported on {0, 1}, so each keeps all of "
             "its mass inside [0, 1] and sup_n lambda_n(complement) = 0 < epsilon",
             interval=MeasurableSet.interval(finite(0), finite(1)),
@@ -449,11 +449,10 @@ def tightness_probe(
                 f"mu_n({{n-{k}..n}}) = 1 - 2^-{k + 1} + 2^-n >= epsilon, and "
                 "they eventually leave any bounded interval"
             )
-        return TightnessVerdict(tight=False, epsilon=epsilon, witness=witness)
+        return verdict(tight=False, witness=witness)
     if fam.kind == "dirac_n":
-        return TightnessVerdict(
+        return verdict(
             tight=False,
-            epsilon=epsilon,
             witness="member n has its whole unit mass at {n}, which leaves any "
             "bounded interval once n passes its right endpoint, so "
             "sup_n rho_n(I^c) = 1 >= epsilon",
@@ -470,9 +469,8 @@ def tightness_probe(
             if outside > worst_outside:
                 worst_n, worst_outside = n, outside
         if worst_outside < epsilon:
-            return TightnessVerdict(
+            return verdict(
                 tight=True,
-                epsilon=epsilon,
                 witness=f"all {scan} members keep at least "
                 f"{rat_str(1 - worst_outside)} of their mass inside {hull} "
                 f"(worst member n={worst_n})",
@@ -484,9 +482,8 @@ def tightness_probe(
         )
     else:
         detail = "no member has any finite atom"
-    return TightnessVerdict(
+    return verdict(
         tight="inconclusive",
-        epsilon=epsilon,
         witness=f"{detail}; a finite table cannot exhibit the unbounded atom "
         "family a non-tight verdict requires",
     )
@@ -556,6 +553,7 @@ def integral_limit(
     subsequence witnesses included); otherwise inconclusive.
     """
     scan = _scan(horizon, fam)
+    report = partial(LimitReport, order="testfn", horizon_used=scan)
 
     def integral(m: DiscreteMeasure) -> float:
         acc = 0.0
@@ -572,10 +570,8 @@ def integral_limit(
     window = series[-min(_WINDOW, scan):]
     spread = max(window) - min(window)
     if spread <= 1e-9:
-        return LimitReport(
-            order="testfn",
+        return report(
             value=series[-1],
-            horizon_used=scan,
             witness=f"trailing window of {len(window)} integrals is flat "
             f"(spread {spread:.3g})",
         )
@@ -588,10 +584,8 @@ def integral_limit(
         errors = [abs(s - candidate) for s in series]
         half_err, last_err = errors[scan // 2], errors[-1]
         if last_err <= 0.75 * half_err and last_err < 0.1:
-            return LimitReport(
-                order="testfn",
+            return report(
                 value=candidate,
-                horizon_used=scan,
                 witness=f"integral over the identified weak limit is "
                 f"{candidate:.17g}; the empirical error fell from "
                 f"{half_err:.3g} at n={scan // 2 + 1} to {last_err:.3g} at n={scan}",
@@ -602,19 +596,15 @@ def integral_limit(
         hi_idx = max(range(len(half)), key=lambda i: half[i])
         lo_idx = min(range(len(half)), key=lambda i: half[i])
         hi_n, lo_n = scan // 2 + 1 + hi_idx, scan // 2 + 1 + lo_idx
-        return LimitReport(
-            order="testfn",
+        return report(
             value="divergent",
-            horizon_used=scan,
             witness=f"s_{hi_n} = {half[hi_idx]:.6g} and s_{lo_n} = "
             f"{half[lo_idx]:.6g} stay {spread_half:.6g} apart over the "
             f"trailing half of the scan",
             witness_pair=(half[hi_idx], half[lo_idx]),
         )
-    return LimitReport(
-        order="testfn",
+    return report(
         value="inconclusive",
-        horizon_used=scan,
         witness=f"trailing spread {spread:.3g} is neither flat (<= 1e-9) nor "
         f"divergent (>= 0.1) and no weak-limit route applies",
     )
@@ -726,17 +716,7 @@ class BranchReport:
     infinity_mass: Fraction | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "branch": self.branch,
-            "xs": self.xs,
-            "order_a": self.order_a.to_dict(),
-            "order_b": self.order_b.to_dict(),
-            "tightness": self.tightness.to_dict(),
-            "predicted": self.predicted,
-            "holds": self.holds,
-            "continuity_mass": _value_json(self.continuity_mass),
-            "infinity_mass": _value_json(self.infinity_mass),
-        }
+        return {f.name: _value_json(getattr(self, f.name)) for f in fields(self)}
 
 
 def branch_check(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -390,6 +390,10 @@ class AdditivityReport:
     disjoint: bool
     eligible: bool
 
+    def to_dict(self) -> dict[str, Any]:
+        return {key: rat_str(value) if isinstance(value, Fraction) else value
+                for key, value in asdict(self).items()}
+
 
 def check_additivity(
     m: DiscreteMeasure, a: MeasurableSet, b: MeasurableSet
@@ -422,12 +426,25 @@ def measure_to_dict(m: DiscreteMeasure) -> dict[str, Any]:
     }
 
 
+def _check_keys(record: dict[str, Any], what: str, types: dict[str, type]) -> None:
+    """Refuse a key of `record` not in `types`, or a value not of its type."""
+    for key, value in record.items():
+        if key not in types or not isinstance(value, types[key]):
+            expected = ", ".join(f"{k} ({t.__name__})" for k, t in types.items())
+            raise ValueError(f"{what} takes only {expected}, got {key!r}")
+
+
 def measure_from_dict(data: dict[str, Any]) -> DiscreteMeasure:
-    pairs = [
-        (parse_ext_real(rec["point"]), parse_rational(rec["mass"]))
-        for rec in data["atoms"]
-    ]
-    return from_mass_pairs(pairs)
+    """Read measure_to_dict's shape; a `total`, when given, must be the atoms' sum."""
+    _check_keys(data, "a measure", {"atoms": list, "total": str})
+    pairs = []
+    for rec in data["atoms"]:
+        _check_keys(rec, "an atom", {"point": str, "mass": str})
+        pairs.append((parse_ext_real(rec["point"]), parse_rational(rec["mass"])))
+    m = from_mass_pairs(pairs)
+    if "total" in data and parse_rational(data["total"]) != m.total:
+        raise ValueError(f"'total' is {data['total']}, but the atoms sum to {rat_str(m.total)}")
+    return m
 
 
 def interval_to_dict(iv: Interval) -> dict[str, Any]:
@@ -446,18 +463,15 @@ def set_to_dict(s: MeasurableSet) -> dict[str, Any]:
     }
 
 
+def _interval_from_dict(rec: dict[str, Any]) -> Interval:
+    _check_keys(rec, "an interval", {"lo": str, "lo_closed": bool, "hi": str, "hi_closed": bool})
+    return Interval(
+        parse_ext_real(rec["lo"]), rec["lo_closed"], parse_ext_real(rec["hi"]), rec["hi_closed"]
+    )
+
+
 def set_from_dict(data: dict[str, Any]) -> MeasurableSet:
-    for key, value in data.items():
-        if key not in ("intervals", "points") or not isinstance(value, list):
-            raise ValueError(f"a set takes lists under intervals and points, got {key!r}")
-    intervals = [
-        Interval(
-            parse_ext_real(rec["lo"]),
-            bool(rec["lo_closed"]),
-            parse_ext_real(rec["hi"]),
-            bool(rec["hi_closed"]),
-        )
-        for rec in data.get("intervals", ())
-    ]
+    _check_keys(data, "a set", {"intervals": list, "points": list})
+    intervals = [_interval_from_dict(rec) for rec in data.get("intervals", ())]
     points = [parse_ext_real(p) for p in data.get("points", ())]
     return MeasurableSet.from_pieces(intervals, points)

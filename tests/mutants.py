@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 17 below take about 40 s on a 2-core host.
+start-up plus its tests, and the 20 below take about 40 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -112,6 +112,19 @@ MUTANTS = (
            "v = sum(bit << i for i, bit in enumerate(bits))",
            "v = sum(bit << i for i, bit in enumerate(reversed(bits)))",
            (EVENT + "test_compiled_closure_agrees_with_the_interpreter",)),
+    Mutant("table clip returns the horizon unclipped", "convergence_lab.py",
+           "return horizon if table is None else min(horizon, len(table))",
+           "return horizon",
+           (CONVERGENCE + "test_order_b_scan_is_clipped_to_the_table",)),
+    Mutant("BranchReport keys in reversed field order", "convergence_lab.py",
+           "for f in fields(self)}",
+           "for f in reversed(fields(self))}",
+           (CLI + "test_reports_print_the_pinned_bytes"
+                  "[converge branches --family mu --xs n-1-json]",)),
+    Mutant("measure file total not checked", "measure_core.py",
+           """if "total" in data and parse_rational(data["total"]) != m.total:""",
+           "if False:",
+           (CLI + "test_bad_json_input_exits_with_one_error_line[total-not-the-sum]",)),
     Mutant('complement("R") acts as "Rbar"', "measure_core.py",
            "infinities: tuple[ExtReal, ...] = (NEG_INF, POS_INF)",
            "infinities: tuple[ExtReal, ...] = ()",

@@ -212,6 +212,164 @@ def test_theorem_verify_prints_the_pinned_bytes(capsys, n_max, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == THEOREM_DIGESTS[n_max, fmt]
 
 
+# Twelve members whose masses at 0 and 1 settle geometrically, with 1/4 kept at +inf.
+SETTLING_TABLE = {"measures": [
+    {"atoms": [{"point": "0", "mass": rat_str(Fraction(1, 4) - Fraction(1, 2 ** (n + 2)))},
+               {"point": "1", "mass": rat_str(Fraction(1, 2) + Fraction(1, 2 ** (n + 2)))},
+               {"point": "+inf", "mass": "1/4"}]}
+    for n in range(1, 13)]}
+# Members that alternate forever, 1/100 of mass apart.
+FLAPPING_TABLE = {"measures": [
+    {"atoms": [{"point": "0", "mass": "1"}]},
+    {"atoms": [{"point": "0", "mass": "99/100"}, {"point": "1", "mass": "1/100"}]}] * 5}
+HALF_OPEN_SET = {"intervals": [{"lo": "0", "lo_closed": False, "hi": "1", "hi_closed": True}],
+                 "points": ["+inf"]}
+
+# sha256 of each report's stdout, recorded before the report fields were written once
+REPORT_DIGESTS = {
+    ("converge branches --family mu --xs n-1", "table"):
+        "c115b7e32f11cf6305318c5c7140da2a13d5df496783c3d261fd482e04bcac07",
+    ("converge branches --family mu --xs n-1", "json"):
+        "cec363756e4d5ceb77b82364c4cdac178080c70f3dbd8918e1360001faa582e8",
+    ("converge branches --family mu --xs n-1", "csv"):
+        "b8067d362eb9d574b7feb45e46b6a02b60c2f4c3a9dc58f8a3bb193fddf75593",
+    ("converge branches --family mu --xs 1/2+1/n", "table"):
+        "6e7d90c23363c32eeba482f6b637b3af871e5b7e6b48ac21d9fd71b50d8da7bf",
+    ("converge branches --family mu --xs 1/2+1/n", "json"):
+        "776cd2b18978a6a612f79edc4c6164575eea1b2a3246b13cd4b24f6a5f3aa60b",
+    ("converge branches --family mu --xs 1/2+1/n", "csv"):
+        "ee24c39af7809a853e62e2752da1bf837ee731db416e255e1750809d357b265c",
+    ("converge branches --family lambda --xs n-1", "table"):
+        "c4950d9f4ddd263251a7900b754566f6e404755ce7340a40bff223774d426a61",
+    ("converge branches --family lambda --xs n-1", "json"):
+        "217a744d9216d3c24f5041bcaba68befd9d321573ae24e466ec7501e396ee263",
+    ("converge branches --family lambda --xs n-1", "csv"):
+        "6932321c90d85bf7a31b9f5b63bd5a0ab2bb294707c2238fc1204141dadab904",
+    ("converge branches --family lambda --xs 1/2+1/n", "table"):
+        "ebb81ff2cc021052b2bd45159623ea078b341d7c74f01a7fc09abc9a759e6142",
+    ("converge branches --family lambda --xs 1/2+1/n", "json"):
+        "c47e13c5b119b5512a893a30e5e44402864f919774f351f7084e3d9641a36062",
+    ("converge branches --family lambda --xs 1/2+1/n", "csv"):
+        "de5566165930858c66eaf1d4c395f91f02a51d46cb67307adfc25734bbef69b6",
+    ("converge branches --family dirac_n --xs n-1", "table"):
+        "e1e8148fa10cc0583b46b46aec47156f2502b86b4bf27b3522f0c5c56e30889c",
+    ("converge branches --family dirac_n --xs n-1", "json"):
+        "5c2787e9e2c2d778cade2b74cfa06b43ea6015649952cc5611dd7a1b80251137",
+    ("converge branches --family dirac_n --xs n-1", "csv"):
+        "e6f54085210465923e76f4d801df849a1c60436eeb045a62c14fe4b3d115dc3c",
+    ("converge branches --family dirac_n --xs 1/2+1/n", "table"):
+        "e0a644ec66e024112762aa78987825a4f38406f4d1c950166318b9027a04616c",
+    ("converge branches --family dirac_n --xs 1/2+1/n", "json"):
+        "79179d83c6551cf7b0c823c873439f8ccf7c6f1ba9c66eeeea426014d1fa799c",
+    ("converge branches --family dirac_n --xs 1/2+1/n", "csv"):
+        "e981ee92d78bdd055915cbc0a6addf992201b6c02932111a8e516b566907abef",
+    ("converge branches --family @{dir}/settling.json --xs n-1", "table"):
+        "02518443ef8854c94642df511066581114768fce12732a4cddf1f41e425b8ff6",
+    ("converge branches --family @{dir}/settling.json --xs n-1", "json"):
+        "f1e6414b1b08ab8ab09e71486415f6722963774a58612d3f435da27acc041d77",
+    ("converge branches --family @{dir}/settling.json --xs n-1", "csv"):
+        "a3063f6bb1f59ac6691d34d3afcaa3890cb9f5d561604c7e49b2eb4509022e57",
+    ("converge branches --family @{dir}/settling.json --xs 1/2+1/n", "table"):
+        "f1602905b07795aceedbe7fb5e6c5020e434056b437f0c83bbfff84f16fbe32c",
+    ("converge branches --family @{dir}/settling.json --xs 1/2+1/n", "json"):
+        "bbcf38d3e59aad057ccd21e11be0daea49f0e527202fd63984a6b508e15015b6",
+    ("converge branches --family @{dir}/settling.json --xs 1/2+1/n", "csv"):
+        "397581e940f6a438a9e028ffacf78e9ab42806c4fdc30d311a60c857c81c7bbc",
+    ("measure additivity --family mu --n 5 --set-a I=3 --set-b point=4", "table"):
+        "853b5e34c6975e701c9c0b44211850b06fe799f05d4c6b9939508d9b06f0e0ee",
+    ("measure additivity --family mu --n 5 --set-a I=3 --set-b point=4", "json"):
+        "171e1ccc43a553720f54316645502ce4520365c167e086605f2a575a44a8ec40",
+    ("measure additivity --family mu --n 5 --set-a I=3 --set-b point=4", "csv"):
+        "d2dfedeebc857855314ac709a4e8cf6d1bc108165b814d323ff037e2f59e0984",
+    ("measure additivity --family @{dir}/settling.json --n 3 "
+     "--set-a @{dir}/half_open.json --set-b I=1/2", "table"):
+        "bcd19efe640c9ae6ebcf8db3c8d09bd8d4df35563389a16fea7e83c4ca158c07",
+    ("measure additivity --family @{dir}/settling.json --n 3 "
+     "--set-a @{dir}/half_open.json --set-b I=1/2", "json"):
+        "0ebdfacacf0171eb486accbbe4ef85a765362030ad4eaed25655999275101166",
+    ("measure additivity --family @{dir}/settling.json --n 3 "
+     "--set-a @{dir}/half_open.json --set-b I=1/2", "csv"):
+        "8ed9bdf7d84d93d23c0c3a64d40d638c4e700e4771b507c129e3bc735009473c",
+    ("converge testfn --family lambda --fn sin --horizon 16", "table"):
+        "6b9bc0af1febef5e79dfaa57850717cdb4b5796911eb5ad21f63290c2f7dd62a",
+    ("converge testfn --family lambda --fn sin --horizon 16", "json"):
+        "a26bde584798b6a274c49809c52272ca7d1b2b45e4452ec0685c0341a7597f6a",
+    ("converge testfn --family lambda --fn sin --horizon 16", "csv"):
+        "518d6b26d56596d8210aca3159be211d33d0153a4b8bcd4d791145f1ebcbb156",
+    ("converge testfn --family mu --fn atan --horizon 32", "table"):
+        "9e1be13d239ca426d69341067daafd92a18fce2e5bea21d88c01c3127fc30721",
+    ("converge testfn --family mu --fn atan --horizon 32", "json"):
+        "2bb165a0da161de5ee4af82d044dddc6cce961ebea27345bddffdd99728859e3",
+    ("converge testfn --family mu --fn atan --horizon 32", "csv"):
+        "0833df1943183aa422a598a53b3289a180d89beed32c691fa2eb9f22de9363e8",
+    ("converge testfn --family dirac_n --fn sin --horizon 16", "table"):
+        "9b0e2817acc6b472ce7a9769e311a8421b83eed8dbc3f6bb471dbd7dc5c546d8",
+    ("converge testfn --family dirac_n --fn sin --horizon 16", "json"):
+        "3067889ebc029fbad87365abb463504ff613da9233f7a26c123c7eac871b8f7d",
+    ("converge testfn --family dirac_n --fn sin --horizon 16", "csv"):
+        "4eb37f7194c85b29584d4e62d48498e43d16c2f71c1d0d095b6f90e4e2fcfafc",
+    ("converge testfn --family @{dir}/flapping.json --fn atan", "table"):
+        "9a06eac8f7ea1eb4002e56b3e899fec4a25085d4db52b590bdc2b624061dbfb3",
+    ("converge testfn --family @{dir}/flapping.json --fn atan", "json"):
+        "df62c94abd42bc28a910ea524bb1a8508ac9e8cc1a4209c4b0b9961a904f623b",
+    ("converge testfn --family @{dir}/flapping.json --fn atan", "csv"):
+        "30ba5fbe813fd316fb8ae20f218ab01d9a359e2f529712f64b99230625b9602b",
+    ("converge testfn --family @{dir}/settling.json --fn h", "table"):
+        "767b416da94d0971e1a861befbf216dc874f40a91c0e3d0584faf79355bc2b6e",
+    ("converge testfn --family @{dir}/settling.json --fn h", "json"):
+        "bbf15fde524c4bae35043d7e05da13652708da1358e5c48d692f604b906dae75",
+    ("converge testfn --family @{dir}/settling.json --fn h", "csv"):
+        "31f4cd6508521c5503697fb3dd387a66e1c8705f0056e2dc0f89f73079610d91",
+    ("converge tightness --family mu --epsilon 1/2", "table"):
+        "bd6240fb7a2351d9ef4379a4ee5bdfc3df036979b1f5d0af4b9a647ed5bec855",
+    ("converge tightness --family mu --epsilon 1/2", "json"):
+        "f6b7199cabe88ed9f9ca0d9f9e0c91c6a33f5f4bbfc1e452e61a39ebbfd4b595",
+    ("converge tightness --family mu --epsilon 1/2", "csv"):
+        "452807d35f686afc88334aa6551daddccb2bc4e23d025e2aadaeb2bfcd425508",
+    ("converge tightness --family mu --epsilon 3/4", "table"):
+        "b575c02ac061e8d689b3ec5d1db14bc06419031bf0653381188bd8ca8c9c8916",
+    ("converge tightness --family mu --epsilon 3/4", "json"):
+        "21d4702247f02d7e7bfdc52ae26168da0068dd1e6d701d09a9e990830debf5c6",
+    ("converge tightness --family mu --epsilon 3/4", "csv"):
+        "c737181995c4f00246e89714ec7f8728f358fd0073191a288ae4bc4a368fb85f",
+    ("converge tightness --family lambda --epsilon 1/2", "table"):
+        "09821c3073f480fef61dffee723d7c0f8bc5f67feec975ad57600fc3d364b6d4",
+    ("converge tightness --family lambda --epsilon 1/2", "json"):
+        "01358acc23b4513dbbe2e013b404db615413f522d134ced8ab6c366e59ecc666",
+    ("converge tightness --family lambda --epsilon 1/2", "csv"):
+        "b1c9edaa27af987999f4edd1cbd27f7dec79772d451c9f810e829afde698ed61",
+    ("converge tightness --family dirac_n --epsilon 1/3", "table"):
+        "4359d8a9bd4fbcf9cc87f3cdb0f20c0934ec046c4fa2a7a03582cc2335bfe5df",
+    ("converge tightness --family dirac_n --epsilon 1/3", "json"):
+        "456108509026869992fbd8c1a30ffeab60eafc87f435cc3803c24024975e7236",
+    ("converge tightness --family dirac_n --epsilon 1/3", "csv"):
+        "943832f61fda7e26c9d28c36ccd9c513c8a32ad4b3daf7ced0f4184a1ebee801",
+    ("converge tightness --family @{dir}/settling.json --epsilon 1/2", "table"):
+        "102ed63154eab24574682487fb1cacc9852a1052bba7b88ff3552cbd77fb0b6a",
+    ("converge tightness --family @{dir}/settling.json --epsilon 1/2", "json"):
+        "65cc13b3c83e6a73f8d03a81f1142c30956e14c981544ee8937d3ccb21169f11",
+    ("converge tightness --family @{dir}/settling.json --epsilon 1/2", "csv"):
+        "9215708525705483e990c9039b94f533fec3c07b4fe6d8f7f576219296b791ec",
+    ("converge tightness --family @{dir}/settling.json --epsilon 1/8", "table"):
+        "9966a0dda35741571be51dceaf2f2488c937219e0fc6d81f38f9e1d2caa690a4",
+    ("converge tightness --family @{dir}/settling.json --epsilon 1/8", "json"):
+        "cfcebcbae27e2a2a7e91bb115aa610fe0b167cf2882a6ef867554b581e1885cd",
+    ("converge tightness --family @{dir}/settling.json --epsilon 1/8", "csv"):
+        "d73f8118564afdd938bafec0036ca44a98a55d3f14cdaf52ba1e4d182da2c8fc",
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(REPORT_DIGESTS))
+def test_reports_print_the_pinned_bytes(capsys, tmp_path, command, fmt):
+    for name, payload in (("settling", SETTLING_TABLE), ("flapping", FLAPPING_TABLE),
+                          ("half_open", HALF_OPEN_SET)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    argv = [arg.format(dir=tmp_path) for arg in command.split()]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[command, fmt]
+
+
 # n = 1 has an empty low half, and odd n a high half one bit longer than the low.
 @pytest.mark.parametrize("p", ["1/2", "1/3", "5/7"])
 @pytest.mark.parametrize("n", range(1, 14))
@@ -735,6 +893,7 @@ UNIT_AND_INF = {  # [0, 1] with +inf, of lambda-mass 1
     "intervals": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": True}],
     "points": ["+inf"],
 }
+HALVES = [{"point": "0", "mass": "1/2"}, {"point": "1", "mass": "1/2"}]
 
 
 @pytest.mark.parametrize(
@@ -765,6 +924,13 @@ UNIT_AND_INF = {  # [0, 1] with +inf, of lambda-mass 1
         (json.dumps({"sets": [UNIT_AND_INF]}), ADDITIVITY_FILE, "'sets'"),
         (json.dumps({"interval": UNIT_AND_INF["intervals"]}), ADDITIVITY_FILE, "'interval'"),
         (json.dumps({"points": "12"}), ADDITIVITY_FILE, "'points'"),
+        (json.dumps({"intervals": [{**UNIT_AND_INF["intervals"][0], "lo_closed": "false"}]}),
+         ADDITIVITY_FILE, "'lo_closed'"),
+        (json.dumps({"intervals": [{**UNIT_AND_INF["intervals"][0], "open": True}]}),
+         ADDITIVITY_FILE, "'open'"),
+        (json.dumps({"atoms": HALVES, "total": "3/4"}), SHOW_FILE, "'total'"),
+        (json.dumps({"atoms": HALVES, "totl": "1/1"}), SHOW_FILE, "'totl'"),
+        (json.dumps({"atoms": [{**HALVES[0], "weight": "1"}, HALVES[1]]}), SHOW_FILE, "'weight'"),
     ],
     ids=[
         "missing-file",
@@ -779,6 +945,11 @@ UNIT_AND_INF = {  # [0, 1] with +inf, of lambda-mass 1
         "set-file-in-sets-form",
         "set-key-misspelt",
         "set-points-not-a-list",
+        "closed-flag-a-string",
+        "interval-key-unknown",
+        "total-not-the-sum",
+        "measure-key-unknown",
+        "atom-key-unknown",
     ],
 )
 def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload, argv, named):

@@ -44,6 +44,7 @@ from .extended_line import compactify_measure, h, saturating_float
 from .measure_core import (
     DiscreteMeasure,
     MeasurableSet,
+    _check_keys,
     check_additivity,
     measure_from_dict,
     measure_to_dict,
@@ -95,6 +96,7 @@ def _load_json(path: str, build: Callable[[Any], Any]) -> Any:
 def _records(data: Any, key: str) -> Any:
     """The records of a payload given as {key: [...]}, [...] or one record."""
     if isinstance(data, dict) and key in data:
+        _check_keys(data, f"a {key!r} wrapper", {key: list})
         data = data[key]
     return [data] if isinstance(data, dict) else data
 

@@ -104,7 +104,7 @@ def analyze_rational_sequence(
     if count >= 4:
         tail = values[-min(_TAIL, count):]
         diffs = [b - a for a, b in zip(tail, tail[1:])]
-        if all(d != 0 for d in diffs) and len(diffs) >= 3:
+        if all(d != 0 for d in diffs):
             ratios = {b / a for a, b in zip(diffs, diffs[1:])}
             if len(ratios) == 1:
                 ratio = ratios.pop()
@@ -121,9 +121,7 @@ def analyze_rational_sequence(
         tail = values[-window:]
         evens, odds = tail[0::2], tail[1::2]
         if (
-            len(evens) >= 2
-            and len(odds) >= 2
-            and all(v == evens[0] for v in evens)
+            all(v == evens[0] for v in evens)
             and all(v == odds[0] for v in odds)
             and evens[0] != odds[0]
         ):

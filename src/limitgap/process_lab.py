@@ -37,16 +37,12 @@ class ProcessRow(NamedTuple):
     z: int  # largest index attaining that max
 
 
-def _validate_horizon(n: int) -> None:
+def _checked(n: int, p: Fraction, cap: int | None = MAX_ENUM_N) -> Fraction:
+    """p as a Fraction, once the horizon n (1 up to cap, if any) and the bias p are checked."""
     if n < 1:
         raise DomainError(f"horizon must be at least 1, got {n}")
-    if n > MAX_ENUM_N:
-        raise NTooLargeError(
-            f"horizon {n} exceeds the enumeration cap {MAX_ENUM_N} (2**{n} outcomes)"
-        )
-
-
-def _validate_bias(p: Fraction) -> Fraction:
+    if cap is not None and n > cap:
+        raise NTooLargeError(f"horizon {n} exceeds the enumeration cap {cap} (2**{n} outcomes)")
     p = Fraction(p)
     if not 0 < p < 1:
         raise DomainError(f"success probability must lie strictly in (0, 1), got {rat_str(p)}")
@@ -79,9 +75,7 @@ def iter_outcomes(n: int, p: Fraction = FAIR) -> Iterator[ProcessRow]:
     tuple is joined from two tables of 2**(n/2) tuples each, one for its low
     and one for its high bits, so no more than O(2**(n/2)) tuples are held.
     """
-    _validate_horizon(n)
-    p = _validate_bias(p)
-    return _rows(n, p)
+    return _rows(n, _checked(n, p))
 
 
 def _rows(n: int, p: Fraction) -> Iterator[ProcessRow]:
@@ -118,9 +112,7 @@ def z_distribution(n: int, p: Fraction = FAIR) -> DiscreteMeasure:
     Z_n = n when the last flip is 1 or every flip is 0, mass p + q**n.
     The total is exactly 1.
     """
-    if n < 1:
-        raise DomainError(f"horizon must be at least 1, got {n}")
-    p = _validate_bias(p)
+    p = _checked(n, p, cap=None)
     a, d = p.numerator, p.denominator
     b = d - a
     pairs = [(n - k, Fraction(a * b**k, d ** (k + 1))) for k in range(1, n)]
@@ -148,8 +140,7 @@ def event_probability(n: int, p: Fraction, e: EventPredicate | str) -> Fraction:
     the integer encoding, tallying matches per popcount so the rational
     arithmetic happens once per popcount class rather than once per outcome.
     """
-    _validate_horizon(n)
-    p = _validate_bias(p)
+    p = _checked(n, p)
     if isinstance(e, str):
         e = parse_event(e)
     pred = compile_event(e, n)  # raises IndexOutOfRangeError for X[i], i > n
@@ -193,8 +184,7 @@ def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:
     integer-encoding shortcuts, so this doubles as an oracle for them.  The
     hits on each side are tallied per popcount, as in event_probability.
     """
-    _validate_horizon(n)
-    p = _validate_bias(p)
+    p = _checked(n, p)
     probs = _popcount_probs(n, p)
     z_in_range = argmax_attains = set_identity = True
     violations: list[str] = []
@@ -236,8 +226,7 @@ def escaped_mass_profile(n: int, k_max: int) -> list[tuple[int, Fraction]]:
     k = 0 carries 1/2 + 2**-n; every k >= 1 carries exactly 2**-(k+1),
     independent of n — the mass that no bounded interval can retain.
     """
-    if n < 1:
-        raise DomainError(f"horizon must be at least 1, got {n}")
+    _checked(n, FAIR, cap=None)  # n alone: the law read below is the fair coin's
     if not 0 <= k_max < n:
         raise KRangeError(f"k_max must lie in [0, {n - 1}], got {k_max}")
     masses = dict(mu_closed_form(n).atoms)

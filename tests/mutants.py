@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 20 below take about 40 s on a 2-core host.
+start-up plus its tests, and the 24 below take about 50 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 CLI = "tests/test_cli.py::"
 CONVERGENCE = "tests/test_convergence_lab.py::"
 EVENT = "tests/test_event_dsl.py::"
+MEASURE = "tests/test_measure_core.py::"
 PROCESS = "tests/test_process_lab.py::"
 
 MUTANTS = (
@@ -129,6 +130,22 @@ MUTANTS = (
            "infinities: tuple[ExtReal, ...] = (NEG_INF, POS_INF)",
            "infinities: tuple[ExtReal, ...] = ()",
            ("tests/test_measure_core.py::test_complement_ambient_matters_at_infinity",)),
+    Mutant("is_empty reads the lower side unflipped", "measure_core.py",
+           "return self._lower >= self._upper",
+           "return (self.lo, self.lo_closed) >= self._upper",
+           (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
+    Mutant("touching open ends merge", "measure_core.py",
+           "if merged and piece._lower <= merged[-1]._upper:",
+           "if merged and piece.lo <= merged[-1].hi:",
+           (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
+    Mutant("a merge keeps the first upper end", "measure_core.py",
+           "*max(last._upper, piece._upper)",
+           "*last._upper",
+           (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
+    Mutant("_checked ignores the cap", "process_lab.py",
+           "if cap is not None and n > cap:",
+           "if False:",
+           (PROCESS + "test_the_scans_keep_the_enumeration_cap_of_twenty_four[iter_outcomes]",)),
 )
 
 

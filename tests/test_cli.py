@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitgap.cli import (
-    ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, _emit, _key_value_rows, _Output, _rows_table,
-    build_parser, main,
+    ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, _emit, _family_arg, _key_value_rows, _Output,
+    _rows_table, _set_family_arg, build_parser, main,
 )
-from limitgap.measure_core import rat_str
+from limitgap.measure_core import measure_from_dict, rat_str, set_from_dict
 from limitgap.process_lab import iter_outcomes
 
 
@@ -712,6 +712,34 @@ def test_branches_json_shape(capsys):
     assert data["tightness"]["tight"] is False
 
 
+def _family_file(tmp_path, *members):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"measures": [
+        {"atoms": [{"point": x, "mass": m} for x, m in atoms.items()]} for atoms in members
+    ]}))
+    return f"@{path}"
+
+
+def test_tightness_of_a_table_with_no_finite_atom_is_inconclusive(capsys, tmp_path):
+    family = _family_file(tmp_path, {"-inf": "1/2", "+inf": "1/2"}, {"+inf": "1"})
+    code, out, _ = run(capsys, "converge", "tightness", "--family", family,
+                       "--epsilon", "1/2", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["tight"] == "inconclusive" and data["interval"] is None
+    assert data["witness"].startswith("no member has any finite atom")
+
+
+def test_branches_predict_nothing_when_tightness_is_inconclusive(capsys, tmp_path):
+    family = _family_file(tmp_path, *[{"0": "1/2", "+inf": "1/2"}] * 6)
+    code, out, _ = run(capsys, "converge", "branches", "--family", family,
+                       "--xs", "n-1", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["branch"] == "b"
+    assert data["tightness"]["tight"] == "inconclusive"
+    assert data["predicted"] == "tightness is inconclusive, so no relation is predicted"
+    assert data["holds"] is None and data["infinity_mass"] == "1/2"
+
+
 def test_compactify_marks_exact_image_points(capsys):
     code, out, _ = run(
         capsys, "compactify", "--family", "lambda", "--format", "json"
@@ -894,6 +922,7 @@ UNIT_AND_INF = {  # [0, 1] with +inf, of lambda-mass 1
     "points": ["+inf"],
 }
 HALVES = [{"point": "0", "mass": "1/2"}, {"point": "1", "mass": "1/2"}]
+SETS_FILE = ("converge", "limit", "--family", "mu", "--sets", "@{path}", "--order", "a")
 
 
 @pytest.mark.parametrize(
@@ -931,6 +960,21 @@ HALVES = [{"point": "0", "mass": "1/2"}, {"point": "1", "mass": "1/2"}]
         (json.dumps({"atoms": HALVES, "total": "3/4"}), SHOW_FILE, "'total'"),
         (json.dumps({"atoms": HALVES, "totl": "1/1"}), SHOW_FILE, "'totl'"),
         (json.dumps({"atoms": [{**HALVES[0], "weight": "1"}, HALVES[1]]}), SHOW_FILE, "'weight'"),
+        (json.dumps({"measures": [{"atoms": HALVES}], "total": "1/2", "junk": 1}), SHOW_FILE,
+         "a 'measures' wrapper takes only measures (list), got 'total'"),
+        (json.dumps({"sets": [UNIT_AND_INF], "junk": 1}), SETS_FILE,
+         "a 'sets' wrapper takes only sets (list), got 'junk'"),
+        (json.dumps({"measures": {"atoms": HALVES}}), SHOW_FILE,
+         "a 'measures' wrapper takes only measures (list), got 'measures'"),
+        (json.dumps({"measures": []}), SHOW_FILE, "explicit family needs at least one measure"),
+        (json.dumps({"sets": []}), SETS_FILE, "explicit set list needs at least one set"),
+        (json.dumps({"measures": [{"atoms": HALVES}]}),
+         ("converge", "weaklimit", "--family", "@{path}"), "explicit family is too short to scan"),
+        (
+            None,
+            ("measure", "additivity", "--family", "mu", "--set-a", "I(n)", "--set-b", "I=0"),
+            "unknown set 'I(n)'; use I=<x>, point=<c>, or @file.json",
+        ),
     ],
     ids=[
         "missing-file",
@@ -950,6 +994,13 @@ HALVES = [{"point": "0", "mass": "1/2"}, {"point": "1", "mass": "1/2"}]
         "total-not-the-sum",
         "measure-key-unknown",
         "atom-key-unknown",
+        "family-wrapper-key-unknown",
+        "sets-wrapper-key-unknown",
+        "family-wrapper-holds-a-record",
+        "family-wrapper-empty",
+        "sets-wrapper-empty",
+        "family-too-short-to-scan",
+        "set-a-a-family",
     ],
 )
 def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload, argv, named):
@@ -960,6 +1011,18 @@ def test_bad_json_input_exits_with_one_error_line(capsys, tmp_path, payload, arg
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert named.format(path=path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["wrapper", "bare-list", "one-record"])
+def test_a_file_holds_its_wrapper_a_bare_list_or_one_record(tmp_path, form):
+    for key, read, record, parse in (
+        ("measures", _family_arg, {"atoms": HALVES}, measure_from_dict),
+        ("sets", _set_family_arg, UNIT_AND_INF, set_from_dict),
+    ):
+        payload = {"wrapper": {key: [record]}, "bare-list": [record], "one-record": record}[form]
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(payload))
+        assert read(f"@{path}").table == (parse(record),)
 
 
 SEVENS = "1/" + "7" * 1000  # its sixth power has 5,000 digits

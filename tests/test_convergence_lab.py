@@ -370,6 +370,15 @@ def test_moving_atom_table_is_honestly_inconclusive():
         weak_limit_identify(fam, 32)
 
 
+def test_a_mass_extrapolated_below_zero_is_refused():
+    members = [
+        from_mass_pairs([(0, F(1, 2**n) - F(1, 64)), (1, 1 - F(1, 2**n) + F(1, 64))])
+        for n in range(1, 7)
+    ]
+    with pytest.raises(InconclusiveError, match="extrapolates to the negative value -1/64"):
+        weak_limit_identify(table_family(members), 32)
+
+
 def test_builtin_weak_limits_conserve_mass():
     for name in ("mu", "lambda", "dirac_n"):
         limit = weak_limit_identify(builtin_family(name), 32)

@@ -250,6 +250,18 @@ def test_complement_ambient_matters_at_infinity():
     assert escape.mass_of_set(in_extended) == 1
 
 
+def test_complement_names_its_ambient():
+    with pytest.raises(ValueError, match="unknown ambient 'Q'"):
+        MeasurableSet.reals().complement("Q")
+
+
+def test_extended_reals_hold_both_infinities():
+    whole = MeasurableSet.extended_reals()
+    assert whole.contains(NEG_INF) and whole.contains(POS_INF)
+    assert not MeasurableSet.reals().contains(NEG_INF)
+    assert whole.complement("Rbar").is_empty
+
+
 def test_complement_digs_out_isolated_points():
     two_rays = MeasurableSet.from_pieces(
         [Interval(NEG_INF, False, finite(0), False),
@@ -325,7 +337,10 @@ def test_set_algebra_follows_pointwise_membership():
         for r in (a, b, *results.values()):
             assert MeasurableSet.from_pieces(r.intervals, r.points) == r
             signature = tuple(_in_pieces(r.intervals, r.points, x) for x in _PROBES)
+            assert tuple(r.contains(x) for x in _PROBES) == signature, r
             assert by_membership.setdefault(signature, r) == r  # one set, one normal form
+        for iv in raw_a[0] + raw_b[0]:  # a piece on the grid is empty iff it holds no probe
+            assert iv.is_empty == (not any(_in_pieces([iv], (), x) for x in _PROBES)), iv
 
 
 def test_mass_is_finitely_additive_over_disjoint_sets():

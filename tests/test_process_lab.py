@@ -156,6 +156,22 @@ def test_coin_marginal_is_a_fair_two_point_law():
     assert lam.mass_at(finite(0)) == lam.mass_at(finite(1)) == F(1, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        iter_outcomes,
+        z_distribution,
+        verify_process_identities,
+        lambda n, p: event_probability(n, p, "Y==1"),
+        lambda n, p: escaped_mass_profile(n, 5),
+    ],
+    ids=["iter_outcomes", "z_distribution", "identities", "event_probability", "escape"],
+)
+def test_every_entry_checks_the_horizon_before_anything_else(call):
+    with pytest.raises(DomainError, match=r"^horizon must be at least 1, got 0$"):
+        call(0, F(2))  # the bias, and the escape's k_max, are out of range too
+
+
 def test_horizon_and_bias_validation():
     with pytest.raises(NTooLargeError, match="24"):
         enumerate_outcomes(25)

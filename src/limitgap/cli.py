@@ -16,7 +16,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -55,7 +55,6 @@ from .measure_core import (
 )
 from .process_lab import (
     FAIR,
-    IdentityReport,
     _bit_table,
     _popcount_probs,
     escaped_mass_profile,
@@ -152,7 +151,7 @@ class _Output:
 
 def _key_value_rows(data: dict[str, Any]) -> list[dict[str, Any]]:
     return [
-        {"key": k, "value": json.dumps(v) if isinstance(v, (dict, list)) else v}
+        {"key": k, "value": json.dumps(v) if isinstance(v, (dict, list, tuple)) else v}
         for k, v in data.items()
     ]
 
@@ -322,22 +321,10 @@ def _cmd_process_prob(args: argparse.Namespace) -> _Output:
     return _Output(data, head=rat_str(value))
 
 
-def _identity_data(report: IdentityReport) -> dict[str, Any]:
-    return {
-        "n": report.n,
-        "rows_checked": report.rows_checked,
-        "z_in_range": report.z_in_range,
-        "argmax_attains_max": report.argmax_attains_max,
-        "set_identity": report.set_identity,
-        "all_hold": report.all_hold,
-        "violations": list(report.violations),
-        "p_last_zero_and_z_below": rat_str(report.p_last_zero_and_z_below),
-        "p_z_below": rat_str(report.p_z_below),
-    }
-
-
 def _cmd_process_identities(args: argparse.Namespace) -> _Output:
-    return _Output(_identity_data(verify_process_identities(args.n, args.p)))
+    report = verify_process_identities(args.n, args.p)
+    return _Output({key: rat_str(value) if isinstance(value, Fraction) else value
+                    for key, value in asdict(report).items()})
 
 
 def _cmd_process_escape(args: argparse.Namespace) -> _Output:

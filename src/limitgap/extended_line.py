@@ -6,45 +6,30 @@ The endpoints are pinned exactly: h(-inf) = 0 and h(+inf) = 1 involve no
 rounding at all.
 
 Image points remember where they came from: a UnitReal carries its float
-coordinate plus the originating R-bar point, and identity/ordering fall back
-to the preimage whenever two floats collide.  Since h is strictly increasing,
-distinct preimages are genuinely distinct points of [0, 1] even when double
-precision cannot separate them.
+coordinate plus the originating R-bar point, and compares as the pair
+(float, preimage), so the preimage decides whenever two floats collide.
+Since h is strictly increasing, distinct preimages are genuinely distinct
+points of [0, 1] even when double precision cannot separate them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 from typing import Any
 
 from .errors import DomainError
 from .measure_core import NEG_INF, POS_INF, DiscreteMeasure, ExtReal, finite
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, order=True)
 class UnitReal:
     """A point of [0, 1] in the image of h, tagged with its preimage."""
 
     value: float
-    exact: bool
+    exact: bool = field(compare=False)
     preimage: ExtReal
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnitReal):
-            return NotImplemented
-        return self.preimage == other.preimage
-
-    def __hash__(self) -> int:
-        return hash(self.preimage)
-
-    def __lt__(self, other: UnitReal) -> bool:
-        if self.value != other.value:
-            return self.value < other.value
-        return self.preimage < other.preimage
 
     def __str__(self) -> str:
         return f"{self.value:.17g}"
@@ -55,9 +40,9 @@ class UnitReal:
 
 def saturating_float(x: ExtReal) -> float:
     """float(x), sending magnitudes beyond the double range to +-inf."""
-    if x is NEG_INF or x.tag < 0:
+    if x.tag < 0:
         return -math.inf
-    if x is POS_INF or x.tag > 0:
+    if x.tag > 0:
         return math.inf
     try:
         return float(x.value)
@@ -85,7 +70,7 @@ def h_inv(y: UnitReal | float) -> ExtReal:
     """
     if isinstance(y, UnitReal):
         return y.preimage
-    if y < 0.0 or y > 1.0:
+    if not 0.0 <= y <= 1.0:
         raise DomainError(f"h_inv argument {y!r} outside [0, 1]")
     if y == 0.0:
         return NEG_INF

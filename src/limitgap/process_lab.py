@@ -10,7 +10,7 @@ popcount of v.  The law of Z_n needs no scan: it has a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple
@@ -167,13 +167,14 @@ class IdentityReport:
     z_in_range: bool
     argmax_attains_max: bool
     set_identity: bool
+    all_hold: bool = field(init=False)
     violations: tuple[str, ...]
     p_last_zero_and_z_below: Fraction
     p_z_below: Fraction
 
-    @property
-    def all_hold(self) -> bool:
-        return self.z_in_range and self.argmax_attains_max and self.set_identity
+    def __post_init__(self) -> None:
+        all_hold = self.z_in_range and self.argmax_attains_max and self.set_identity
+        object.__setattr__(self, "all_hold", all_hold)
 
 
 def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:

@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 24 below take about 50 s on a 2-core host.
+start-up plus its tests, and the 28 below take about 50 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -142,6 +142,27 @@ MUTANTS = (
            "*max(last._upper, piece._upper)",
            "*last._upper",
            (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
+    Mutant("+1/n and -1/n suffixes swapped", "convergence_lab.py",
+           """finite, "decreasing", "", "+1/n"),
+    "approach_below": _SequenceKind(
+        lambda n, q: q - Fraction(1, n), finite, "increasing", "", "-1/n"),""",
+           """finite, "decreasing", "", "-1/n"),
+    "approach_below": _SequenceKind(
+        lambda n, q: q - Fraction(1, n), finite, "increasing", "", "+1/n"),""",
+           (CONVERGENCE + "test_each_sequence_kind_follows_its_closed_form[approach_above]",)),
+    Mutant("approach_below read as decreasing", "convergence_lab.py",
+           'finite, "increasing", "", "-1/n")',
+           'finite, "decreasing", "", "-1/n")',
+           (CONVERGENCE + "test_each_sequence_kind_follows_its_closed_form[approach_below]",)),
+    Mutant("UnitReal compares its exact flag", "extended_line.py",
+           "exact: bool = field(compare=False)",
+           "exact: bool = field()",
+           ("tests/test_extended_line.py::"
+            "test_unit_real_equality_order_and_hash_follow_the_preimage",)),
+    Mutant("theorem enumerates only n <= 4", "convergence_lab.py",
+           "if n <= 12:",
+           "if n <= 4:",
+           (CONVERGENCE + "test_the_theorem_refuses_an_enumeration_that_disagrees_at_one_n",)),
     Mutant("_checked ignores the cap", "process_lab.py",
            "if cap is not None and n > cap:",
            "if False:",

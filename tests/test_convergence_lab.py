@@ -190,10 +190,39 @@ def test_sequence_spec_forms(text, kind, q):
     assert (seq.kind, seq.q) == (kind, q)
 
 
+_rng = random.Random(41)
+SEEDED_QS = [F(0), F(-1), F(3, 2)] + [
+    F(_rng.randint(-60, 60), _rng.randint(1, 12)) for _ in range(30)
+]
+# Each kind written out by hand: a spec for q, x_n, lim x_n and the direction.
+SEQUENCE_CLOSED_FORMS = {
+    "affine": (lambda q: f"n+{q}" if q >= 0 else f"n{q}", lambda n, q: n + q,
+               lambda q: POS_INF, "increasing"),
+    "approach_above": (lambda q: f"{q}+1/n", lambda n, q: q + F(1, n), finite, "decreasing"),
+    "approach_below": (lambda q: f"{q}-1/n", lambda n, q: q - F(1, n), finite, "increasing"),
+    "const": (str, lambda n, q: q, finite, "constant"),
+}
+
+
 def test_sequence_spec_describe_round_trips():
     for text in ("n", "n-1", "n+3/2", "1/2+1/n", "2-1/n", "7/3"):
         seq = parse_sequence_spec(text)
         assert parse_sequence_spec(seq.describe()) == seq
+    for kind in SEQUENCE_CLOSED_FORMS:
+        for q in SEEDED_QS:
+            seq = RealSequence(kind, q)
+            assert parse_sequence_spec(seq.describe()) == seq
+
+
+@pytest.mark.parametrize("kind", list(SEQUENCE_CLOSED_FORMS))
+def test_each_sequence_kind_follows_its_closed_form(kind):
+    spec, value, limit, direction = SEQUENCE_CLOSED_FORMS[kind]
+    for q in SEEDED_QS:
+        seq = parse_sequence_spec(spec(q))
+        assert (seq.kind, seq.q) == (kind, q)
+        assert [seq.value(n) for n in range(1, 20)] == [value(n, q) for n in range(1, 20)]
+        assert seq.limit == limit(q)
+        assert seq.direction == direction
 
 
 @pytest.mark.parametrize("bad", ["", "n^2", "q+1/n", "2n", "1/n+2"])
@@ -690,6 +719,18 @@ def test_branch_check_and_the_theorem_identify_the_weak_limit_once(monkeypatch):
     identified.clear()
     verify_theorem(12)
     assert identified == ["mu"]
+
+
+def test_the_theorem_refuses_an_enumeration_that_disagrees_at_one_n(monkeypatch):
+    probability = convergence_lab.event_probability
+    monkeypatch.setattr(
+        convergence_lab,
+        "event_probability",
+        lambda n, p, e: probability(n, p, e) + (n == 5),
+    )
+    verify_theorem(4)
+    with pytest.raises(RuntimeError, match="at n=5 for X\\[N\\]==0:"):
+        verify_theorem(6)
 
 
 # --- branch checks ---

@@ -93,6 +93,12 @@ def test_printer_produces_the_canonical_spelling():
     assert print_event(parse_event("! Z == N")) == "!(Z==N)"
 
 
+@pytest.mark.parametrize("thing", [None, "Y==0", Lit(1)])
+def test_printer_refuses_what_is_not_a_node(thing):
+    with pytest.raises(TypeError, match="not an event node"):
+        print_event(thing)
+
+
 def test_printer_parenthesizes_or_under_and():
     e = parse_event("(Y==0 || Y==1) && Z==2")
     assert print_event(e) == "(Y==0 || Y==1) && Z==2"

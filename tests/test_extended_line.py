@@ -59,6 +59,7 @@ def test_saturating_float_handles_huge_rationals():
     assert saturating_float(finite(-(10**400))) == -math.inf
     assert saturating_float(finite(F(1, 3))) == pytest.approx(1 / 3)
     assert saturating_float(NEG_INF) == -math.inf
+    assert saturating_float(POS_INF) == math.inf
 
 
 def test_images_of_finite_points_stay_strictly_inside():
@@ -90,7 +91,7 @@ def test_round_trip_through_the_float_image():
         assert metric_d(back, x) < 1e-9
 
 
-@pytest.mark.parametrize("bad", [-0.25, 1.0000001, 2.0])
+@pytest.mark.parametrize("bad", [-0.25, 1.0000001, 2.0, math.nan])
 def test_h_inv_rejects_values_outside_the_unit_interval(bad):
     with pytest.raises(DomainError, match="outside"):
         h_inv(bad)
@@ -135,6 +136,28 @@ def test_unit_real_identity_is_the_preimage():
     assert a.value == b.value == 1.0  # both saturate in float
     assert a != b and hash(a) != hash(h(POS_INF))
     assert a < b < h(POS_INF)
+
+
+def test_unit_real_equality_order_and_hash_follow_the_preimage():
+    rng = random.Random(53)
+    points = [NEG_INF, POS_INF, finite(10**20), finite(10**20 + 1), finite(-(10**20)),
+              finite(-(10**20) - 1), finite(0)] + [
+        finite(F(rng.randint(-10**6, 10**6), rng.randint(1, 9))) for _ in range(30)
+    ]
+    assert h(finite(10**20)).value == h(finite(10**20 + 1)).value == 1.0
+    for x in points:
+        for y in points:
+            assert (h(x) == h(y)) == (x == y)
+            assert (h(x) < h(y)) == (x < y)
+            assert (h(x) <= h(y)) == (x <= y)
+        assert hash(h(x)) == hash(h(finite(x.value) if x.is_finite else x))
+    assert len({h(x) for x in points}) == len(set(points))
+
+
+@pytest.mark.parametrize("other", [finite(1), 0.5])
+def test_unit_reals_compare_only_with_unit_reals(other):
+    with pytest.raises(TypeError):
+        h(finite(1)) < other
 
 
 def test_compactified_escape_limit_is_a_unit_atom_at_one():

@@ -10,6 +10,7 @@ from limitgap.measure_core import (
     NEG_INF,
     POS_INF,
     DiscreteMeasure,
+    ExtReal,
     Interval,
     MeasurableSet,
     check_additivity,
@@ -38,6 +39,14 @@ def test_order_puts_infinities_around_every_finite():
     assert NEG_INF < finite(-(10**50)) and finite(10**50) < POS_INF
     with pytest.raises(TypeError):
         finite(1) < 1
+
+
+def test_ext_real_coerces_a_finite_value_and_refuses_an_infinite_one():
+    x = ExtReal(finite(0).tag, 3)
+    assert type(x.value) is F and x == finite(3)
+    for infinity in (NEG_INF, POS_INF):
+        with pytest.raises(ValueError, match="infinite points carry no value"):
+            ExtReal(infinity.tag, F(1))
 
 
 def test_equality_is_exact_rational_equality():

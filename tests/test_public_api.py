@@ -1,4 +1,9 @@
-"""The package's public names: the list is fixed, and each name resolves."""
+"""The package's public names: the list is fixed, and each name resolves.
+
+Three types also keep their field names.
+"""
+
+from dataclasses import fields
 
 import limitgap
 
@@ -30,3 +35,18 @@ def test_all_lists_exactly_the_public_names():
 def test_every_public_name_resolves():
     for name in limitgap.__all__:
         assert getattr(limitgap, name) is not None, name
+
+
+def test_sequence_unit_real_and_identity_report_keep_their_fields():
+    names = {cls: [f.name for f in fields(cls)]
+             for cls in (limitgap.RealSequence, limitgap.UnitReal, limitgap.IdentityReport)}
+    assert names == {
+        limitgap.RealSequence: ["kind", "q"],
+        limitgap.UnitReal: ["value", "exact", "preimage"],
+        limitgap.IdentityReport: [
+            "n", "rows_checked", "z_in_range", "argmax_attains_max", "set_identity",
+            "all_hold", "violations", "p_last_zero_and_z_below", "p_z_below",
+        ],
+    }
+    # all_hold is derived, so the constructor takes the other eight fields
+    assert [f.name for f in fields(limitgap.IdentityReport) if not f.init] == ["all_hold"]

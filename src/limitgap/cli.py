@@ -487,6 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "--xs -1/2+1/n" for two options
+        if argv[i - 1] in ("--x", "--xs") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--xs={argv[i]}"]
     try:  # parse_rational refuses a huge exponent as a domain error, not a usage error
         args = build_parser().parse_args(argv)
         _emit(args.handler(args), args.format, args.out)

@@ -13,6 +13,7 @@ stabilized subsequences; anything else is inconclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -179,8 +180,41 @@ class MeasureFamily:
         return _clip(self.table, horizon)
 
 
+# Each builtin's member n as a cdf on the integers, its whole support:
+# (n, j) -> the mass of (-inf, j].
+_BUILTIN_CDFS: dict[str, Callable[[int, int], Fraction]] = {
+    "mu": lambda n, j: Fraction(0) if j < 1 else Fraction(1) if j >= n
+    else Fraction(2**j - 1, 2**n),
+    "lambda": lambda n, j: Fraction(0) if j < 0 else FAIR if j == 0 else Fraction(1),
+    "dirac_n": lambda n, j: Fraction(j >= n),
+}
+
+
+def _member_mass(fam: MeasureFamily, n: int, s: MeasurableSet) -> Fraction:
+    """Member n's mass of a normal-form set s; a builtin builds no member.
+
+    A builtin reads its cdf at the ends of each interval of s, and of each
+    isolated point as [p, p]: the last integer the piece holds, less the last
+    one below it.  The infinities carry no mass.
+    """
+    cdf = _BUILTIN_CDFS.get(fam.kind)
+    if cdf is None:
+        return fam.member(n).mass_of_set(s)
+
+    def through(x: ExtReal, closed: bool) -> Fraction:  # the mass of (-inf, x] or (-inf, x)
+        if not x.is_finite:
+            return Fraction(x == POS_INF)
+        return cdf(n, math.floor(x.value) if closed else math.ceil(x.value) - 1)
+
+    pieces = (*s.intervals, *(Interval(p, True, p, True) for p in s.points))
+    return sum(
+        (through(iv.hi, iv.hi_closed) - through(iv.lo, not iv.lo_closed) for iv in pieces),
+        Fraction(0),
+    )
+
+
 def builtin_family(name: str) -> MeasureFamily:
-    if name not in ("mu", "lambda", "dirac_n"):
+    if name not in _BUILTIN_CDFS:
         raise DomainError(
             f"unknown builtin family {name!r}; use mu, lambda, dirac_n, "
             "or a table of measures (@file.json)"
@@ -230,6 +264,12 @@ class RealSequence:
 
     kind: str
     q: Fraction
+
+    def __post_init__(self) -> None:
+        if self.kind not in _SEQUENCE_KINDS:
+            raise DomainError(
+                f"unknown sequence kind {self.kind!r}; use {', '.join(_SEQUENCE_KINDS)}"
+            )
 
     def value(self, n: int) -> Fraction:
         return _SEQUENCE_KINDS[self.kind].value(n, self.q)
@@ -640,8 +680,7 @@ def _order_b(
     """The order-(b) report, graded against order_a(), called once a limit is found."""
     scan = _scan(horizon, fam, sets)
     values = [
-        fam.member(n).mass_of_set(sets.member(n))
-        for n in range(max(1, scan - _WINDOW), scan + 1)
+        _member_mass(fam, n, sets.member(n)) for n in range(max(1, scan - _WINDOW), scan + 1)
     ]
     analysis = analyze_rational_sequence(values, count=scan)
     if analysis.kind == "inconclusive":

@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 28 below take about 50 s on a 2-core host.
+start-up plus its tests, and the 31 below take about 75 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -163,6 +163,18 @@ MUTANTS = (
            "if n <= 12:",
            "if n <= 4:",
            (CONVERGENCE + "test_the_theorem_refuses_an_enumeration_that_disagrees_at_one_n",)),
+    Mutant("mu's cdf without the -1", "convergence_lab.py",
+           "else Fraction(2**j - 1, 2**n)",
+           "else Fraction(2**j, 2**n)",
+           (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
+    Mutant("an open integer end keeps its atom", "convergence_lab.py",
+           "math.floor(x.value) if closed else math.ceil(x.value) - 1",
+           "math.floor(x.value)",
+           (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
+    Mutant("dirac_n's cdf steps one past n", "convergence_lab.py",
+           "Fraction(j >= n)",
+           "Fraction(j > n)",
+           (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
     Mutant("_checked ignores the cap", "process_lab.py",
            "if cap is not None and n > cap:",
            "if False:",

@@ -1077,6 +1077,16 @@ def _run_catching_exit(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("xs", ["-1/2+1/n", "-3-1/n", "-1", "-.5+1/n"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("flag", ["--xs", "--x"])  # argparse takes the unique prefix
+def test_a_negative_xs_reads_the_same_with_a_space_or_an_equals_sign(flag, xs, fmt):
+    head = ["converge", "branches", "--family", "lambda"]
+    spaced = _run_catching_exit([*head, flag, xs, "--format", fmt])
+    joined = _run_catching_exit([*head, f"--xs={xs}", "--format", fmt])
+    assert spaced == joined and spaced[0] == 0
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -1193,7 +1203,8 @@ FUZZ_FAMILIES = ["mu", "lambda", "dirac_n", "nu", "", "@{dir}/family.json",
 FUZZ_SET = ["I=1/2", "I=abc", "I=1/0", "I=1e5000", "point=1", "point=+inf", "point=x",
             "@{dir}/set.json", "@{dir}/sets.json", "@{dir}/missing.json", "@{dir}/deep.json", "x"]
 FUZZ_SETS = ["I(n-1)", "I(n)", "I(1/n)", "I(n^2)", "I()", "@{dir}/family.json", *FUZZ_SET]
-FUZZ_XS = ["n-1", "n", "1/n", "1/2", "n^2", "", "x", "1e5000", "n+1e5000"]
+FUZZ_XS = ["n-1", "n", "1/n", "1/2", "n^2", "", "x", "1e5000", "n+1e5000", "-1/2+1/n",
+           "-3-1/n"]
 FUZZ_EVENTS = ["X[N]==0", "X[N]==0 && Z<N", "Y==1 || Z==N", "X[0]==1", "X[99]==1",
                "Y==", "((", "", "X[²]==1", "Y==" + "9" * 5000, "(" * 300 + "Y==1" + ")" * 300,
                "Y==1 && " * 2999 + "Y==1"]

@@ -6,11 +6,14 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitgap import convergence_lab
 from limitgap.convergence_lab import (
     _TAIL,
     _WINDOW,
+    _member_mass,
     LimitReport,
     MeasureFamily,
     RealSequence,
@@ -42,6 +45,7 @@ from limitgap.errors import (
 from limitgap.measure_core import (
     NEG_INF,
     POS_INF,
+    Interval,
     MeasurableSet,
     dirac,
     finite,
@@ -223,6 +227,11 @@ def test_each_sequence_kind_follows_its_closed_form(kind):
         assert [seq.value(n) for n in range(1, 20)] == [value(n, q) for n in range(1, 20)]
         assert seq.limit == limit(q)
         assert seq.direction == direction
+
+
+def test_an_unknown_sequence_kind_fails_at_construction():
+    with pytest.raises(DomainError, match="unknown sequence kind 'bogus'"):
+        RealSequence("bogus", F(1))
 
 
 @pytest.mark.parametrize("bad", ["", "n^2", "q+1/n", "2n", "1/n+2"])
@@ -695,11 +704,71 @@ def test_order_b_requests_only_the_members_it_reads(monkeypatch):
     mu = builtin_family("mu")
     report = order_b_limit(mu, lower_ray_family(parse_sequence_spec("n-1")), 1024)
     assert report.value == HALF and report.horizon_used == 1024
-    assert requests == list(range(1024 - _WINDOW, 1025))
-    assert len(requests) == _TAIL
-    requests.clear()
+    assert requests == []  # a builtin's masses come from its cdf
     branch_check(mu, "n-1", 1024)  # orders a and b, tightness, weak limit
-    assert len(requests) == _TAIL
+    assert requests == []
+    table = table_family([lambda_measure()] * 12)
+    report = order_b_limit(table, lower_ray_family(parse_sequence_spec("n-1")), 1024)
+    assert report.value == 1 and report.horizon_used == 12
+    # its masses read the last _TAIL members; the weak limit for eligibility all 12
+    assert requests[:_TAIL] == list(range(12 - _WINDOW, 13))
+    assert requests[_TAIL:] == list(range(1, 13))
+    requests.clear()
+    branch_check(table, "n-1", 1024)  # the weak limit and tightness read all 12
+    assert len(requests) == 2 * 12 + _TAIL
+
+
+# --- closed-form builtin masses against the members ---
+
+
+@st.composite
+def _builtin_member_and_set(draw):
+    """A builtin, an index n, and a normal-form set whose ends sit near 0 and n."""
+    kind = draw(st.sampled_from(["mu", "lambda", "dirac_n"]))
+    n = draw(st.integers(1, 40) | st.sampled_from([257, 1024]))
+    near = st.integers(-3, 43) | st.integers(n - 3, n + 3)
+    point = st.one_of(
+        st.sampled_from([NEG_INF, POS_INF]),
+        near.map(finite),
+        st.builds(lambda k, frac: finite(k + frac), near, st.sampled_from([HALF, F(1, 3)])),
+    )
+    ends = st.tuples(point, point).map(sorted)
+    interval = st.builds(
+        lambda lo_hi, lo_closed, hi_closed: Interval(lo_hi[0], lo_closed, lo_hi[1], hi_closed),
+        ends, st.booleans(), st.booleans())
+    intervals = draw(st.lists(interval, max_size=3))
+    points = draw(st.lists(point, max_size=3))
+    return builtin_family(kind), n, MeasurableSet.from_pieces(intervals, points)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=_builtin_member_and_set())
+def test_builtin_closed_form_masses_match_the_members(case):
+    fam, n, s = case
+    mass = _member_mass(fam, n, s)
+    assert type(mass) is F
+    assert mass == fam.member(n).mass_of_set(s)
+
+
+BUILTIN_RAY_SPECS = ["n", "n-1", "n-3", "n+2", "1/2+1/n", "-1/2+1/n", "3-1/n", "-3-1/n",
+                     "2+1/n", "0", "1", "1/2", "-1"]
+
+
+@pytest.mark.parametrize("family", ["mu", "dirac_n", "lambda"])
+def test_orders_and_branches_match_the_member_route(monkeypatch, family):
+    fam = builtin_family(family)
+
+    def reports():
+        for spec in BUILTIN_RAY_SPECS:
+            sets = lower_ray_family(parse_sequence_spec(spec))
+            for horizon in (2, 3, 9, 32, 64):
+                yield (_order_b_or_error(fam, sets, horizon),
+                       _report_or_error(branch_check, fam, spec, horizon))
+
+    fast = list(reports())
+    monkeypatch.setattr(
+        convergence_lab, "_member_mass", lambda fam, n, s: fam.member(n).mass_of_set(s))
+    assert fast == list(reports())
 
 
 def test_branch_check_and_the_theorem_identify_the_weak_limit_once(monkeypatch):

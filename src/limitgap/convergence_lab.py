@@ -154,17 +154,26 @@ def _check_index(n: int, table: tuple | None, noun: str, table_noun: str) -> Non
         raise DomainError(f"{table_noun} has {len(table)} members, index {n} requested")
 
 
-def _clip(table: tuple | None, horizon: int) -> int:
-    """The horizon, clipped to the length of a table."""
-    return horizon if table is None else min(horizon, len(table))
-
-
 @dataclass(frozen=True)
 class MeasureFamily:
     """An indexed sequence n -> probability measure, built-in or tabulated."""
 
     kind: str  # "mu", "lambda", "dirac_n", or "table"
     table: tuple[DiscreteMeasure, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.table is None and self.kind not in _BUILTIN_CDFS:
+            raise DomainError(
+                f"unknown builtin family {self.kind!r}; use mu, lambda, dirac_n, "
+                "or a table of measures (@file.json)"
+            )
+        if self.table is not None and not self.table:
+            raise DomainError("explicit family needs at least one measure")
+        for i, m in enumerate(self.table or (), start=1):
+            if not m.is_probability:
+                raise DomainError(
+                    f"family member {i} has total {rat_str(m.total)}, not a probability"
+                )
 
     def member(self, n: int) -> DiscreteMeasure:
         _check_index(n, self.table, "family", "explicit family")
@@ -175,9 +184,6 @@ class MeasureFamily:
         if self.kind == "dirac_n":
             return dirac(finite(n))
         return self.table[n - 1]
-
-    def clip_horizon(self, horizon: int) -> int:
-        return _clip(self.table, horizon)
 
 
 # Each builtin's member n as a cdf on the integers, its whole support:
@@ -191,7 +197,7 @@ _BUILTIN_CDFS: dict[str, Callable[[int, int], Fraction]] = {
 
 
 def _member_mass(fam: MeasureFamily, n: int, s: MeasurableSet) -> Fraction:
-    """Member n's mass of a normal-form set s; a builtin builds no member.
+    """Member n's mass of the set s; a builtin builds no member.
 
     A builtin reads its cdf at the ends of each interval of s, and of each
     isolated point as [p, p]: the last integer the piece holds, less the last
@@ -214,24 +220,11 @@ def _member_mass(fam: MeasureFamily, n: int, s: MeasurableSet) -> Fraction:
 
 
 def builtin_family(name: str) -> MeasureFamily:
-    if name not in _BUILTIN_CDFS:
-        raise DomainError(
-            f"unknown builtin family {name!r}; use mu, lambda, dirac_n, "
-            "or a table of measures (@file.json)"
-        )
     return MeasureFamily(name)
 
 
 def table_family(measures: Sequence[DiscreteMeasure]) -> MeasureFamily:
-    members = tuple(measures)
-    if not members:
-        raise DomainError("explicit family needs at least one measure")
-    for i, m in enumerate(members, start=1):
-        if not m.is_probability:
-            raise DomainError(
-                f"family member {i} has total {rat_str(m.total)}, not a probability"
-            )
-    return MeasureFamily("table", members)
+    return MeasureFamily("table", tuple(measures))
 
 
 class _SequenceKind(NamedTuple):
@@ -321,6 +314,15 @@ class SetFamily:
     point: ExtReal | None = None
     table: tuple[MeasurableSet, ...] | None = None
 
+    def __post_init__(self) -> None:
+        source = {"ray_seq": "seq", "singleton": "point", "table": "table"}
+        if self.kind not in source:
+            raise DomainError(f"unknown set family kind {self.kind!r}; use {', '.join(source)}")
+        if self.kind == "table" and not self.table:
+            raise DomainError("explicit set list needs at least one set")
+        if getattr(self, source[self.kind]) is None:
+            raise DomainError(f"a {self.kind} set family needs its {source[self.kind]}")
+
     def member(self, n: int) -> MeasurableSet:
         _check_index(n, self.table, "set", "explicit set list")
         if self.kind == "ray_seq":
@@ -328,9 +330,6 @@ class SetFamily:
         if self.kind == "singleton":
             return MeasurableSet.singleton(self.point)
         return self.table[n - 1]
-
-    def clip_horizon(self, horizon: int) -> int:
-        return _clip(self.table, horizon)
 
     def limit(self) -> tuple[MeasurableSet, str]:
         """The limiting set and the monotonicity notion that produced it."""
@@ -373,10 +372,7 @@ def singleton_family(point: ExtReal) -> SetFamily:
 
 
 def set_table_family(sets: Sequence[MeasurableSet]) -> SetFamily:
-    members = tuple(sets)
-    if not members:
-        raise DomainError("explicit set list needs at least one set")
-    return SetFamily("table", table=members)
+    return SetFamily("table", table=tuple(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +438,10 @@ def _scan(horizon: int, fam: MeasureFamily, sets: SetFamily | None = None) -> in
     """The number of members a scan reads: horizon, clipped to any table."""
     if horizon < 2:
         raise DomainError(f"horizon must be at least 2, got {horizon}")
-    scan = fam.clip_horizon(horizon)
-    return scan if sets is None else min(scan, sets.clip_horizon(horizon))
+    for table in (fam.table, sets and sets.table):
+        if table is not None:
+            horizon = min(horizon, len(table))
+    return horizon
 
 
 # ---------------------------------------------------------------------------

@@ -278,26 +278,24 @@ def _print_term(term: Term) -> str:
     return "X[N]" if term.index is None else f"X[{term.index}]"
 
 
+# How loosely each node binds.  A side binding more loosely than its operator
+# is parenthesised, and a right side binding as loosely too: the parser groups left.
+_LOOSENESS = {Cmp: 0, Not: 0, And: 1, Or: 2}
+
+
 def _print_node(node: Node) -> str:
     if isinstance(node, Cmp):
         return f"{_print_term(node.lhs)}{node.op}{_print_term(node.rhs)}"
     if isinstance(node, Not):
         return f"!({_print_node(node.operand)})"
-    if isinstance(node, And):
-        lhs = _print_node(node.lhs)
-        if isinstance(node.lhs, Or):
-            lhs = f"({lhs})"
-        rhs = _print_node(node.rhs)
-        if isinstance(node.rhs, (And, Or)):
-            rhs = f"({rhs})"
-        return f"{lhs} && {rhs}"
-    if isinstance(node, Or):
-        lhs = _print_node(node.lhs)
-        rhs = _print_node(node.rhs)
-        if isinstance(node.rhs, Or):
-            rhs = f"({rhs})"
-        return f"{lhs} || {rhs}"
-    raise TypeError(f"not an event node: {node!r}")
+    if not isinstance(node, (And, Or)):
+        raise TypeError(f"not an event node: {node!r}")
+    lhs, rhs, looseness = _print_node(node.lhs), _print_node(node.rhs), _LOOSENESS[type(node)]
+    if _LOOSENESS[type(node.lhs)] > looseness:
+        lhs = f"({lhs})"
+    if _LOOSENESS[type(node.rhs)] >= looseness:
+        rhs = f"({rhs})"
+    return f"{lhs} {'&&' if isinstance(node, And) else '||'} {rhs}"
 
 
 def eval_event(e: EventPredicate, row) -> bool:

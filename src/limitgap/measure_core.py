@@ -166,12 +166,17 @@ class MeasurableSet:
 
     Normal form: intervals are non-degenerate, sorted, and pairwise disjoint
     with no mergeable gaps; isolated points are sorted and lie strictly
-    outside every interval.  Build instances through :meth:`from_pieces` or
-    the named constructors so structural equality means set equality.
+    outside every interval.  The constructor puts any pieces in that form,
+    so structural equality means set equality.
     """
 
     intervals: tuple[Interval, ...] = ()
     points: tuple[ExtReal, ...] = ()
+
+    def __post_init__(self) -> None:
+        merged = _merged(self.intervals, self.points)
+        object.__setattr__(self, "intervals", tuple(iv for iv in merged if not iv.is_point))
+        object.__setattr__(self, "points", tuple(iv.lo for iv in merged if iv.is_point))
 
     @classmethod
     def from_pieces(
@@ -179,10 +184,7 @@ class MeasurableSet:
         intervals: Iterable[Interval] = (),
         points: Iterable[ExtReal] = (),
     ) -> MeasurableSet:
-        merged = _merged(intervals, points)
-        solid = tuple(iv for iv in merged if not iv.is_point)
-        isolated = tuple(iv.lo for iv in merged if iv.is_point)
-        return cls(solid, isolated)
+        return cls(tuple(intervals), tuple(points))
 
     @classmethod
     def empty(cls) -> MeasurableSet:
@@ -316,7 +318,7 @@ class DiscreteMeasure:
         return Fraction(0)
 
     def mass_of_set(self, s: MeasurableSet) -> Fraction:
-        """Exact mass of a normal-form set: the sum over atoms it contains."""
+        """Exact mass of a set: the sum over atoms it contains."""
         return sum(
             (mass for point, mass in self.atoms if s.contains(point)), Fraction(0)
         )

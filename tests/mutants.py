@@ -17,7 +17,9 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 31 below take about 75 s on a 2-core host.
+start-up plus its tests, and the 33 below take about 60 s on a 2-core host.
+`tests/test_mutants.py` (collected) checks only that each mutant's old text
+is still in its file once and that its named tests are still defined.
 """
 
 from __future__ import annotations
@@ -109,13 +111,17 @@ MUTANTS = (
            "return lambda v, y, z: lhs(v, y, z) and rhs(v, y, z)",
            "return lambda v, y, z: lhs(v, y, z) or rhs(v, y, z)",
            (EVENT + "test_compiled_closure_agrees_with_the_interpreter",)),
+    Mutant("right side of an equally loose operator left bare", "event_dsl.py",
+           "if _LOOSENESS[type(node.rhs)] >= looseness:",
+           "if _LOOSENESS[type(node.rhs)] > looseness:",
+           (EVENT + "test_round_trip_holds_for_random_trees",)),
     Mutant("eval_event reads the bits reversed", "event_dsl.py",
            "v = sum(bit << i for i, bit in enumerate(bits))",
            "v = sum(bit << i for i, bit in enumerate(reversed(bits)))",
            (EVENT + "test_compiled_closure_agrees_with_the_interpreter",)),
     Mutant("table clip returns the horizon unclipped", "convergence_lab.py",
-           "return horizon if table is None else min(horizon, len(table))",
-           "return horizon",
+           "horizon = min(horizon, len(table))",
+           "horizon = horizon",
            (CONVERGENCE + "test_order_b_scan_is_clipped_to_the_table",)),
     Mutant("BranchReport keys in reversed field order", "convergence_lab.py",
            "for f in fields(self)}",
@@ -134,6 +140,13 @@ MUTANTS = (
            "return self._lower >= self._upper",
            "return (self.lo, self.lo_closed) >= self._upper",
            (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
+    Mutant("sets skip their normal form", "measure_core.py",
+           "merged = _merged(self.intervals, self.points)",
+           "merged = [*self.intervals, *(Interval(p, True, p, True) for p in self.points)]",
+           (MEASURE + "test_the_constructor_puts_any_pieces_in_normal_form",
+            MEASURE + "test_the_constructor_drops_an_empty_interval",
+            CONVERGENCE + "test_a_raw_set_with_overlapping_pieces_has_its_member_mass",
+            CONVERGENCE + "test_a_table_of_equal_raw_sets_settles_on_that_set")),
     Mutant("touching open ends merge", "measure_core.py",
            "if merged and piece._lower <= merged[-1]._upper:",
            "if merged and piece.lo <= merged[-1].hi:",

@@ -14,9 +14,11 @@ from limitgap.convergence_lab import (
     _TAIL,
     _WINDOW,
     _member_mass,
+    _scan,
     LimitReport,
     MeasureFamily,
     RealSequence,
+    SetFamily,
     analyze_rational_sequence,
     branch_check,
     builtin_family,
@@ -155,6 +157,22 @@ def test_unknown_builtin_is_rejected():
         builtin_family("nu")
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MeasureFamily("nu"), "unknown builtin family 'nu'; use mu, lambda, dirac_n, "
+     "or a table of measures (@file.json)"),
+    (lambda: MeasureFamily("table"), "unknown builtin family 'table'"),
+    (lambda: MeasureFamily("table", ()), "explicit family needs at least one measure"),
+    (lambda: SetFamily("table"), "explicit set list needs at least one set"),
+    (lambda: SetFamily("ray_seq"), "a ray_seq set family needs its seq"),
+    (lambda: SetFamily("singleton"), "a singleton set family needs its point"),
+    (lambda: SetFamily("ray"), "unknown set family kind 'ray'; use ray_seq, singleton, table"),
+], ids=["unknown-builtin", "table-without-one", "empty-table", "set-table-without-one",
+        "ray-without-seq", "singleton-without-point", "unknown-set-kind"])
+def test_a_family_refuses_a_bad_kind_when_it_is_built(build, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        build()
+
+
 def test_family_indices_start_at_one():
     with pytest.raises(DomainError, match="at least 1"):
         builtin_family("mu").member(0)
@@ -173,6 +191,20 @@ def test_table_index_past_the_end():
     sets = set_table_family([MeasurableSet.empty()] * 2)
     with pytest.raises(DomainError, match="set list has 2 members, index 3 requested"):
         sets.member(3)
+
+
+_RAY_TO_3 = Interval(NEG_INF, False, finite(3), True)
+
+
+def test_a_raw_set_with_overlapping_pieces_has_its_member_mass():
+    s = MeasurableSet((_RAY_TO_3, _RAY_TO_3))
+    assert _member_mass(builtin_family("mu"), 5, s) == mu_closed_form(5).mass_of_set(s) == F(7, 32)
+
+
+def test_a_table_of_equal_raw_sets_settles_on_that_set():
+    ray = MeasurableSet.from_pieces((_RAY_TO_3,))
+    sets = set_table_family([MeasurableSet((_RAY_TO_3, _RAY_TO_3)), ray] * 2)
+    assert sets.limit() == (ray, "eventually constant")
 
 
 # --- threshold sequences ---
@@ -613,7 +645,7 @@ def _order_b_or_error(fam, sets, horizon):
 
 def _order_b_oracle(fam, sets, horizon):
     """Order (b) by brute force: every mass 1..scan, analysed as one full list."""
-    scan = min(fam.clip_horizon(horizon), sets.clip_horizon(horizon))
+    scan = _scan(horizon, fam, sets)
     masses = [fam.member(n).mass_of_set(sets.member(n)) for n in range(1, scan + 1)]
     analysis = analyze_rational_sequence(masses)
     if analysis.kind == "inconclusive":
@@ -723,7 +755,8 @@ def test_order_b_requests_only_the_members_it_reads(monkeypatch):
 
 @st.composite
 def _builtin_member_and_set(draw):
-    """A builtin, an index n, and a normal-form set whose ends sit near 0 and n."""
+    """A builtin, an index n, and a set whose ends sit near 0 and n, built from
+    pieces or by the raw constructor from unsorted, overlapping ones."""
     kind = draw(st.sampled_from(["mu", "lambda", "dirac_n"]))
     n = draw(st.integers(1, 40) | st.sampled_from([257, 1024]))
     near = st.integers(-3, 43) | st.integers(n - 3, n + 3)
@@ -738,7 +771,8 @@ def _builtin_member_and_set(draw):
         ends, st.booleans(), st.booleans())
     intervals = draw(st.lists(interval, max_size=3))
     points = draw(st.lists(point, max_size=3))
-    return builtin_family(kind), n, MeasurableSet.from_pieces(intervals, points)
+    build = draw(st.sampled_from([MeasurableSet, MeasurableSet.from_pieces]))
+    return builtin_family(kind), n, build(tuple(intervals), tuple(points))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

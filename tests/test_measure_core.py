@@ -250,6 +250,20 @@ def test_point_extends_an_open_endpoint():
     assert s.intervals == (Interval(finite(0), True, finite(1), False),)
 
 
+_RAY_TO_3 = Interval(NEG_INF, False, finite(3), True)
+
+
+def test_the_constructor_puts_any_pieces_in_normal_form():
+    assert MeasurableSet((_RAY_TO_3, _RAY_TO_3)) == MeasurableSet.from_pieces((_RAY_TO_3,))
+    assert MeasurableSet((), (finite(2), finite(1), finite(2))).points == (finite(1), finite(2))
+    assert MeasurableSet((_RAY_TO_3,), (finite(1),)).points == ()
+
+
+def test_the_constructor_drops_an_empty_interval():
+    s = MeasurableSet((Interval(finite(1), True, finite(0), True),))
+    assert s.is_empty and s == MeasurableSet.empty() and str(s) == "(empty)"
+
+
 def test_complement_ambient_matters_at_infinity():
     ray = MeasurableSet.lower_ray(finite(0))
     in_reals = ray.complement("R")

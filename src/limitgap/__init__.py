@@ -5,7 +5,13 @@ line, the coin-flip last-argmax process, and the two rival evaluation orders
 for a limiting probability — the limiting measure applied to the limiting
 set versus the limit of the per-n masses.  For tight families the orders
 agree; the built-in argmax family drives them exactly 1/2 apart.
+
+The event language (`limitgap.event_dsl` and the four names it exports here)
+is loaded on first use, so a command that reads no event does not pay for
+importing it.  Every other module is imported with the package.
 """
+
+import importlib
 
 from .errors import (
     BadEpsilonError,
@@ -46,7 +52,6 @@ from .measure_core import (
     set_to_dict,
 )
 from .extended_line import UnitReal, compactify_measure, h, h_inv, metric_d
-from .event_dsl import EventPredicate, eval_event, parse_event, print_event
 from .process_lab import (
     FAIR,
     IdentityReport,
@@ -85,6 +90,21 @@ from .convergence_lab import (
 )
 
 __version__ = "0.1.0"
+
+_EVENT_NAMES = ("EventPredicate", "eval_event", "parse_event", "print_event")
+
+
+def __getattr__(name: str) -> object:
+    # Called only for a name the package does not hold.  `from . import
+    # event_dsl` here would ask this function for the module again.
+    if name == "event_dsl" or name in _EVENT_NAMES:
+        module = importlib.import_module(f"{__name__}.event_dsl")
+        return module if name == "event_dsl" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 __all__ = [
     "AdditivityReport",

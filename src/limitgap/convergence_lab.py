@@ -29,7 +29,6 @@ from .errors import (
     NoWeakLimitError,
     NRangeError,
 )
-from .event_dsl import parse_event, print_event
 from .measure_core import (
     NEG_INF,
     POS_INF,
@@ -42,7 +41,7 @@ from .measure_core import (
     parse_rational,
     rat_str,
 )
-from .process_lab import FAIR, event_probability, lambda_measure, mu_closed_form
+from .process_lab import FAIR, _event_dsl, event_probability, lambda_measure, mu_closed_form
 
 _WINDOW = 8
 _TAIL = _WINDOW + 1  # the most trailing terms analyze_rational_sequence reads
@@ -162,6 +161,8 @@ class MeasureFamily:
     table: tuple[DiscreteMeasure, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.kind != "table" and self.table is not None:
+            raise DomainError(f"a {self.kind} family takes no table")
         if self.table is None and self.kind not in _BUILTIN_CDFS:
             raise DomainError(
                 f"unknown builtin family {self.kind!r}; use mu, lambda, dirac_n, "
@@ -320,6 +321,8 @@ class SetFamily:
             raise DomainError(f"unknown set family kind {self.kind!r}; use {', '.join(source)}")
         if self.kind == "table" and not self.table:
             raise DomainError("explicit set list needs at least one set")
+        if self.kind != "table" and self.table is not None:
+            raise DomainError(f"a {self.kind} set family takes no table")
         if getattr(self, source[self.kind]) is None:
             raise DomainError(f"a {self.kind} set family needs its {source[self.kind]}")
 
@@ -837,9 +840,10 @@ def verify_theorem(n_max: int) -> dict[str, Any]:
     """
     if not 2 <= n_max <= 20:
         raise NRangeError(f"n_max must lie in [2, 20], got {n_max}")
-    ev_below = parse_event("X[N]==0 && Z<N")
-    ev_at = parse_event("X[N]==0 && Z==N")
-    ev_zero = parse_event("X[N]==0")
+    events = _event_dsl()
+    ev_below = events.parse_event("X[N]==0 && Z<N")
+    ev_at = events.parse_event("X[N]==0 && Z==N")
+    ev_zero = events.parse_event("X[N]==0")
     rows = []
     for n in range(2, n_max + 1):
         last_zero = Fraction(1, 2)
@@ -859,7 +863,7 @@ def verify_theorem(n_max: int) -> dict[str, Any]:
                 if got != expected:
                     raise RuntimeError(
                         f"enumeration disagrees with closed form at n={n} for "
-                        f"{print_event(event)}: {rat_str(got)} != {rat_str(expected)}"
+                        f"{events.print_event(event)}: {rat_str(got)} != {rat_str(expected)}"
                     )
         if ray_mass != split_below:
             raise RuntimeError(

@@ -10,19 +10,35 @@ popcount of v.  The law of Z_n needs no scan: it has a closed form.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import DomainError, KRangeError, NTooLargeError
-from .event_dsl import EventPredicate, compile_event, parse_event
-from .measure_core import DiscreteMeasure, finite, from_mass_pairs, rat_str
+from .measure_core import DiscreteMeasure, from_mass_pairs, rat_str
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from .event_dsl import EventPredicate
 
 MAX_ENUM_N = 24
 MAX_LIST_N = 20  # enumerate_outcomes(20) peaks near 400 MB; each step up doubles it
 
 FAIR = Fraction(1, 2)
+
+_PACKAGE = sys.modules[__package__]  # the package generation this module belongs to
+
+
+def _event_dsl() -> ModuleType:
+    """The event language, which the package root loads on first use.
+
+    It is read through this module's own package, not sys.modules, so after a
+    re-import an event parsed by this generation is still compiled by it.
+    """
+    return _PACKAGE.event_dsl
 
 
 class Outcome(NamedTuple):
@@ -104,20 +120,25 @@ def enumerate_outcomes(n: int, p: Fraction = FAIR) -> list[ProcessRow]:
     return list(rows)
 
 
-def z_distribution(n: int, p: Fraction = FAIR) -> DiscreteMeasure:
-    """The distribution of Z_n in closed form, for any bias p = a/d.
+def z_law(n: int, p: Fraction = FAIR) -> list[tuple[int, Fraction]]:
+    """The law of Z_n in closed form, for any bias p = a/d: (point, mass) pairs, points 1 to n.
 
     Z_n = n - k < n exactly when flip n - k is 1 and the k flips after it
     are 0, so that atom carries p*q**k = a*b**k / d**(k+1) with q = b/d;
     Z_n = n when the last flip is 1 or every flip is 0, mass p + q**n.
-    The total is exactly 1.
+    The total is exactly 1, and every mass is positive.
     """
     p = _checked(n, p, cap=None)
     a, d = p.numerator, p.denominator
     b = d - a
-    pairs = [(n - k, Fraction(a * b**k, d ** (k + 1))) for k in range(1, n)]
+    pairs = [(n - k, Fraction(a * b**k, d ** (k + 1))) for k in range(n - 1, 0, -1)]
     pairs.append((n, p + Fraction(b**n, d**n)))
-    return from_mass_pairs(pairs)
+    return pairs
+
+
+def z_distribution(n: int, p: Fraction = FAIR) -> DiscreteMeasure:
+    """The distribution of Z_n: the pairs of z_law as a measure."""
+    return from_mass_pairs(z_law(n, p))
 
 
 def mu_closed_form(n: int) -> DiscreteMeasure:
@@ -140,10 +161,11 @@ def event_probability(n: int, p: Fraction, e: EventPredicate | str) -> Fraction:
     the integer encoding, tallying matches per popcount so the rational
     arithmetic happens once per popcount class rather than once per outcome.
     """
+    events = _event_dsl()
     p = _checked(n, p)
     if isinstance(e, str):
-        e = parse_event(e)
-    pred = compile_event(e, n)  # raises IndexOutOfRangeError for X[i], i > n
+        e = events.parse_event(e)
+    pred = events.compile_event(e, n)  # raises IndexOutOfRangeError for X[i], i > n
     counts = [0] * (n + 1)
     for v in range(1 << n):
         y = 1 if v else 0
@@ -230,5 +252,5 @@ def escaped_mass_profile(n: int, k_max: int) -> list[tuple[int, Fraction]]:
     _checked(n, FAIR, cap=None)  # n alone: the law read below is the fair coin's
     if not 0 <= k_max < n:
         raise KRangeError(f"k_max must lie in [0, {n - 1}], got {k_max}")
-    masses = dict(mu_closed_form(n).atoms)
-    return [(k, masses[finite(n - k)]) for k in range(k_max + 1)]
+    masses = dict(z_law(n))
+    return [(k, masses[n - k]) for k in range(k_max + 1)]

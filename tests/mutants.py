@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 33 below take about 60 s on a 2-core host.
+start-up plus its tests, and the 34 below take about 90 s on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -98,6 +98,10 @@ MUTANTS = (
            "Fraction(a * b**k, d ** (k + 1))",
            "Fraction(b * a**k, d ** (k + 1))",
            (PROCESS + "test_z_law_matches_a_brute_force_tally[5]",)),
+    Mutant("Z law pairs in descending j below n", "process_lab.py",
+           "for k in range(n - 1, 0, -1)]",
+           "for k in range(1, n)]",
+           (CLI + "test_plotdata_prints_what_the_members_print[7-csv]",)),
     Mutant("bare ! counts one token", "event_dsl.py",
            'size += 3 if tokens and tokens[-1].kind == "!" and text != "(" else 1',
            "size += 1",

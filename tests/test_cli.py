@@ -23,7 +23,7 @@ from limitgap.cli import (
     _rows_table, _set_family_arg, build_parser, main,
 )
 from limitgap.measure_core import measure_from_dict, rat_str, set_from_dict
-from limitgap.process_lab import iter_outcomes
+from limitgap.process_lab import iter_outcomes, mu_closed_form
 
 
 def run(capsys, *argv):
@@ -837,6 +837,18 @@ def test_plotdata_accepts_n_max_one(capsys):
     code, out, _ = run(capsys, "plotdata", "--n-max", "1", "--format", "csv")
     assert code == 0 and out.splitlines() == ["n,j,mass", "1,1/1,1/1"]
     assert PLOT_MAX_N >= 120  # the benchmark plots the mass parade up to 120
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("n_max", [1, 2, 7, 40])
+def test_plotdata_prints_what_the_members_print(capsys, n_max, fmt):
+    code, out, err = run(capsys, "plotdata", "--n-max", str(n_max), "--format", fmt)
+    assert code == 0 and err == ""
+    # The oracle renders each member's atoms, built and normalised by mu_closed_form.
+    records = [{"n": n, "j": str(point), "mass": rat_str(mass)}
+               for n in range(1, n_max + 1) for point, mass in mu_closed_form(n).atoms]
+    _emit(_Output({"n_max": n_max, "segments": records}, records), fmt, None)
+    assert out == capsys.readouterr().out
 
 
 def test_family_file_round_trip(capsys, tmp_path):

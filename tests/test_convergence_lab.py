@@ -166,8 +166,16 @@ def test_unknown_builtin_is_rejected():
     (lambda: SetFamily("ray_seq"), "a ray_seq set family needs its seq"),
     (lambda: SetFamily("singleton"), "a singleton set family needs its point"),
     (lambda: SetFamily("ray"), "unknown set family kind 'ray'; use ray_seq, singleton, table"),
+    (lambda: MeasureFamily("mu", (lambda_measure(),)), "a mu family takes no table"),
+    (lambda: MeasureFamily("nu", (lambda_measure(),)), "a nu family takes no table"),
+    (lambda: SetFamily("ray_seq", seq=RealSequence("affine", F(-1)),
+                       table=(MeasurableSet.lower_ray(finite(0)),)),
+     "a ray_seq set family takes no table"),
+    (lambda: SetFamily("singleton", point=POS_INF, table=(MeasurableSet.singleton(POS_INF),)),
+     "a singleton set family takes no table"),
 ], ids=["unknown-builtin", "table-without-one", "empty-table", "set-table-without-one",
-        "ray-without-seq", "singleton-without-point", "unknown-set-kind"])
+        "ray-without-seq", "singleton-without-point", "unknown-set-kind", "builtin-with-table",
+        "unknown-with-table", "ray-with-table", "singleton-with-table"])
 def test_a_family_refuses_a_bad_kind_when_it_is_built(build, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         build()

@@ -54,14 +54,11 @@ from .measure_core import (
 )
 from .process_lab import (
     FAIR,
-    _bit_table,
     _event_dsl,
-    _popcount_probs,
     escaped_mass_profile,
     event_probability,
     iter_outcomes,
     verify_process_identities,
-    z_law,
 )
 
 _TEST_FUNCTIONS: dict[str, Callable] = {
@@ -254,59 +251,14 @@ def _cmd_measure_additivity(args: argparse.Namespace) -> _Output:
 # the output's size: json, the largest, is 27.0 MB at n = 18 and doubles
 # with each n.
 ENUM_MAX_N = 18
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _enumerate_blocks(n: int, p: Fraction, fmt: str) -> Iterator[str]:
-    """The text of `process enumerate`: the header, one block per high half, the footer.
-
-    Row v's line is lo_text[v & mask] + suffix[popcount(v & mask)], where the
-    n // 2 + 1 suffixes of high half h = v >> half hold its bits, Y, Z and
-    the probability of popcount(h) + k ones.  For h > 0, Y is 1 and Z is
-    h.bit_length() + half; the h = 0 block splits by lo.bit_length().  Every
-    column's width is known before any row: the table pads the suffixes.
-    """
-    half = n // 2
-    probs = [rat_str(prob) for prob in _popcount_probs(n, p)]
-    widths = (0, 0, 0, 0)
-    if fmt == "json":  # what JSONEncoder(indent=2) prints for {"n": n, "p": p, "rows": rows}
-        seps = (',\n    {\n      "bits": "', '",\n      "prob": "', '",\n      "y": ',
-                ',\n      "z": ', "\n    }")
-        header, footer = f'{{\n  "n": {n},\n  "p": "{rat_str(p)}",\n  "rows": [', "\n  ]\n}\n"
-    else:
-        if fmt == "csv":  # what csv.writer prints: nothing here needs quoting
-            sep, end = ",", "\r\n"
-        else:  # what _rows_table prints: every column padded to its longest entry
-            sep, end, widths = "  ", "\n", (max(4, n), max(4, *map(len, probs)), 1, len(str(n)))
-        seps = ("", sep, sep, sep, end)
-        header, footer = sep.join(map(str.ljust, ("bits", "prob", "y", "z"), widths)) + end, ""
-    lead, to_prob, to_y, to_z, end = seps
-    bits_w, prob_w, y_w, z_w = widths
-    lo_text, hi_text = ([start + bytes(b).translate(_BIT_DIGITS).decode() for b in _bit_table(width)]
-                        for start, width in ((lead, half), ("", n - half)))
-    lo_ones = list(map(int.bit_count, range(1 << half)))
-
-    def lines(h: int, y: int, z: int, lo: slice) -> str:
-        head = hi_text[h].ljust(bits_w - half) + to_prob
-        tail = f"{to_y}{str(y).ljust(y_w)}{to_z}{str(z).ljust(z_w)}{end}"
-        ones = h.bit_count()
-        suffix = [head + probs[ones + k].ljust(prob_w) + tail for k in range(half + 1)]
-        return "".join(map(str.__add__, lo_text[lo], map(suffix.__getitem__, lo_ones[lo])))
-
-    yield header
-    # json's lead starts with the comma between rows, which the v = 0 row goes without
-    yield lines(0, 0, n, slice(1)).removeprefix(",") + "".join(
-        lines(0, 1, z, slice(1 << (z - 1), 1 << z)) for z in range(1, half + 1))
-    for h in range(1, 1 << (n - half)):
-        yield lines(h, 1, h.bit_length() + half, slice(None))
-    yield footer
 
 
 def _cmd_process_enumerate(args: argparse.Namespace) -> _Output:
     iter_outcomes(args.n, args.p)  # checks n and p
     if args.n > ENUM_MAX_N:
         raise NRangeError(f"n must be at most {ENUM_MAX_N}, got {args.n}")
-    return _Output({}, blocks=lambda fmt: _enumerate_blocks(args.n, args.p, fmt))
+    from .cli_streams import enumerate_blocks
+    return _Output({}, blocks=lambda fmt: enumerate_blocks(args.n, args.p, fmt))
 
 
 def _cmd_process_prob(args: argparse.Namespace) -> _Output:
@@ -393,18 +345,16 @@ def _cmd_theorem_verify(args: argparse.Namespace) -> _Output:
 
 # plotdata prints n(n+1)/2 rows whose masses carry O(n) digits, so its output
 # grows as n_max**3: n_max = 500 prints 8.1 MB of csv, 14.9 MB of json and
-# 39.6 MB of padded table, and takes 0.6-1.1 s and 80-178 MB (one 2-core
-# x86-64 host, CPython 3.11).
+# 39.6 MB of padded table.  Written a member at a time, that takes 0.08-0.11 s
+# and 18 MB, piped, on one core of a 2-core x86-64 host (CPython 3.11).
 PLOT_MAX_N = 500
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> _Output:
     if not 1 <= args.n_max <= PLOT_MAX_N:
         raise NRangeError(f"n_max must lie in [1, {PLOT_MAX_N}], got {args.n_max}")
-    records = [{"n": n, "j": f"{j}/1", "mass": rat_str(mass)}  # j as str(finite(j)) prints it
-               for n in range(1, args.n_max + 1) for j, mass in z_law(n)]
-    data = {"n_max": args.n_max, "segments": records}
-    return _Output(data, records)
+    from .cli_streams import plot_blocks
+    return _Output({}, blocks=lambda fmt: plot_blocks(args.n_max, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +447,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LimitGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader took what it wanted and closed stdout, as `head` does
+        pass
     return 0
 
 

@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 34 below take about 90 s on a 2-core host.
+start-up plus its tests, and the 38 below take about 45 s on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -50,19 +50,23 @@ MEASURE = "tests/test_measure_core.py::"
 PROCESS = "tests/test_process_lab.py::"
 
 MUTANTS = (
-    Mutant("json row separator dropped", "cli.py",
-           """seps = (',\\n    {\\n      "bits": "'""",
-           """seps = ('\\n    {\\n      "bits": "'""",
+    Mutant("json row separator dropped", "cli_streams.py",
+           """seps = (",\\n    {" + opens[0],""",
+           """seps = ("\\n    {" + opens[0],""",
            (CLI + "test_enumerate_matches_the_generic_renderer[3-1/2-json]",)),
-    Mutant("json indentation of z off by one", "cli.py",
-           """',\\n      "z": '""",
-           """',\\n       "z": '""",
+    Mutant("json key indentation off by one", "cli_streams.py",
+           'opens = [f"\\n      {json.dumps(name)}: {quote}"',
+           'opens = [f"\\n       {json.dumps(name)}: {quote}"',
            (CLI + "test_enumerate_matches_the_generic_renderer[3-1/2-json]",)),
-    Mutant("table prob width floor 3", "cli.py",
-           "max(4, *map(len, probs))",
-           "max(3, *map(len, probs))",
+    Mutant("json quotes every column", "cli_streams.py",
+           """quotes = ['"' if text else "" for _, _, text in columns]""",
+           """quotes = ['"' for _, _, text in columns]""",
+           (CLI + "test_plotdata_prints_what_the_members_print[7-json]",)),
+    Mutant("table column width one short of its header", "cli_streams.py",
+           "max(len(name), widest)",
+           "max(len(name) - 1, widest)",
            (CLI + "test_enumerate_matches_the_generic_renderer[1-1/2-table]",)),
-    Mutant("Y of the all-zeros row is 1", "cli.py",
+    Mutant("Y of the all-zeros row is 1", "cli_streams.py",
            "lines(0, 0, n, slice(1))",
            "lines(0, 1, n, slice(1))",
            (CLI + "test_enumerate_matches_the_generic_renderer[4-1/3-csv]",)),
@@ -77,7 +81,19 @@ MUTANTS = (
     Mutant("csv itemgetter reversed", "cli.py",
            "map(operator.itemgetter(*header), rows)",
            "map(operator.itemgetter(*reversed(header)), rows)",
-           (CLI + "test_csv_matches_a_dictwriter_rendering[plotdata --n-max 6]",)),
+           (CLI + "test_csv_matches_a_dictwriter_rendering[measure show --family mu --n 7]",)),
+    Mutant("plotdata shared-mass slice shifted by one", "cli_streams.py",
+           "(*shared_ends[n_max - n:], top_ends[n - 1])",
+           "(*shared_ends[n_max - n + 1:], top_ends[n - 1])",
+           (CLI + "test_plotdata_prints_what_the_members_print[7-csv]",)),
+    Mutant("plotdata takes every top atom from member n_max", "cli_streams.py",
+           "rat_str(1 - below) for below in",
+           "rat_str(1 - sum(masses)) for below in",
+           (CLI + "test_plotdata_prints_what_the_members_print[7-csv]",)),
+    Mutant("a broken pipe raises", "cli.py",
+           "except BrokenPipeError:",
+           "except ZeroDivisionError:",
+           (CLI + "test_a_reader_that_stops_early_ends_the_command_quietly[plotdata --n-max 200]",)),
     Mutant("order (b) without count=scan", "convergence_lab.py",
            "analyze_rational_sequence(values, count=scan)",
            "analyze_rational_sequence(values)",

@@ -6,8 +6,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -460,6 +462,8 @@ def test_csv_matches_a_dictwriter_rendering(capsys, tmp_path, argv):
     args = build_parser().parse_args(argv)
     if argv[:2] == ["process", "enumerate"]:  # its handler returns text blocks, not rows
         rows = _stream_records(args.n, args.p)
+    elif argv[0] == "plotdata":  # so does this one's
+        rows = _plot_records(args.n_max)
     else:
         output = args.handler(args)
         rows = output.rows if output.rows is not None else _key_value_rows(output.data)
@@ -839,16 +843,59 @@ def test_plotdata_accepts_n_max_one(capsys):
     assert PLOT_MAX_N >= 120  # the benchmark plots the mass parade up to 120
 
 
+def _plot_records(n_max):
+    """The `plotdata` rows of members 1 to n_max, each built and normalised by mu_closed_form."""
+    return [{"n": n, "j": str(point), "mass": rat_str(mass)}
+            for n in range(1, n_max + 1) for point, mass in mu_closed_form(n).atoms]
+
+
+# The n and j columns widen at n_max 10 and 100.
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-@pytest.mark.parametrize("n_max", [1, 2, 7, 40])
+@pytest.mark.parametrize("n_max", [1, 2, 7, 10, 40, 100])
 def test_plotdata_prints_what_the_members_print(capsys, n_max, fmt):
     code, out, err = run(capsys, "plotdata", "--n-max", str(n_max), "--format", fmt)
     assert code == 0 and err == ""
-    # The oracle renders each member's atoms, built and normalised by mu_closed_form.
-    records = [{"n": n, "j": str(point), "mass": rat_str(mass)}
-               for n in range(1, n_max + 1) for point, mass in mu_closed_form(n).atoms]
+    records = _plot_records(n_max)
     _emit(_Output({"n_max": n_max, "segments": records}, records), fmt, None)
     assert out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_plotdata_writes_its_out_file_as_it_prints(capsys, tmp_path, fmt):
+    target = tmp_path / "plot.txt"
+    code, out, err = run(capsys, "plotdata", "--n-max", "12", "--format", fmt, "--out", str(target))
+    assert code == 0 and out == err == ""
+    _, printed, _ = run(capsys, "plotdata", "--n-max", "12", "--format", fmt)
+    assert target.read_bytes().decode() == printed  # bytes: csv ends its lines with "\r\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("plotdata", "--n-max", "200"),
+    ("process", "enumerate", "--n", "16"),
+], ids=" ".join)
+def test_a_reader_that_stops_early_ends_the_command_quietly(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    child = subprocess.Popen([sys.executable, "-m", "limitgap.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": src})
+    assert child.stdout.readline().split()[0] in (b"n", b"bits")
+    child.stdout.close()  # as `| head -1` does; the rest of the output fills more than the pipe
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (0, b"")
+
+
+def test_plotdata_streams_its_rows():
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["plotdata", "--n-max", "150", "--format", "csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # Peak over stdout bytes: 15.7 when every row was held first, 2.0 streamed.
+    assert peak < 5 * len(out.getvalue())
 
 
 def test_family_file_round_trip(capsys, tmp_path):

@@ -181,7 +181,7 @@ class MeasureFamily:
         if self.kind == "mu":
             return mu_closed_form(n)
         if self.kind == "lambda":
-            return lambda_measure()
+            return _BUILTIN_LIMITS["lambda"]  # every member is its weak limit
         if self.kind == "dirac_n":
             return dirac(finite(n))
         return self.table[n - 1]
@@ -195,6 +195,8 @@ _BUILTIN_CDFS: dict[str, Callable[[int, int], Fraction]] = {
     "lambda": lambda n, j: Fraction(0) if j < 0 else FAIR if j == 0 else Fraction(1),
     "dirac_n": lambda n, j: Fraction(j >= n),
 }
+# Each builtin's weak limit, built once: mu's and dirac_n's mass escapes to +inf.
+_BUILTIN_LIMITS = {"mu": dirac(POS_INF), "lambda": lambda_measure(), "dirac_n": dirac(POS_INF)}
 
 
 def _member_mass(fam: MeasureFamily, n: int, s: MeasurableSet) -> Fraction:
@@ -535,15 +537,13 @@ def tightness_probe(
 def weak_limit_identify(fam: MeasureFamily, horizon: int) -> DiscreteMeasure:
     """Identify the weak limit as a measure on R-bar.
 
-    Builtins are known in closed form.  For an explicit table the mass at
-    every support point must settle (exact trailing window or exact geometric
-    tail); mass not claimed by any finite point goes to +inf.
+    A builtin's limit is one object, built at import.  For an explicit table
+    the mass at every support point must settle (exact trailing window or exact
+    geometric tail); mass not claimed by any finite point goes to +inf.
     """
     scan = _scan(horizon, fam)
-    if fam.kind == "mu" or fam.kind == "dirac_n":
-        return dirac(POS_INF)
-    if fam.kind == "lambda":
-        return lambda_measure()
+    if fam.kind in _BUILTIN_LIMITS:
+        return _BUILTIN_LIMITS[fam.kind]
     if scan < 2:
         raise InconclusiveError("explicit family is too short to scan")
     members = [fam.member(n) for n in range(1, scan + 1)]
@@ -668,10 +668,10 @@ def _order_a(rho: DiscreteMeasure, sets: SetFamily, scan: int) -> LimitReport:
         order="a",
         value=rho.mass_of_set(alpha),
         horizon_used=scan,
-        witness=f"limit measure {rho} applied to limit set {alpha} "
-        f"({notion} limit of {sets.describe()})",
-        measure_tag=str(rho),
+        measure_tag=(rho_text := str(rho)),
         set_tag=str(alpha),
+        witness=f"limit measure {rho_text} applied to limit set {alpha} "
+        f"({notion} limit of {sets.describe()})",
     )
 
 

@@ -214,7 +214,7 @@ def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:
     hits_both, hits_z_below = [0] * (n + 1), [0] * (n + 1)
     for bits in product((0, 1), repeat=n):
         y = max(bits)
-        z = max(i + 1 for i, bit in enumerate(bits) if bit == y)
+        z = n - bits[::-1].index(y)  # the last index attaining y, 1-based
         ones = sum(bits)
         if not z <= n:
             z_in_range = False

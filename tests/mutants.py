@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 38 below take about 45 s on a 2-core host.
+start-up plus its tests, and the 40 below take about 45 s on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -208,6 +208,15 @@ MUTANTS = (
            "Fraction(j >= n)",
            "Fraction(j > n)",
            (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
+    Mutant("lambda's weak limit is the point mass at 0", "convergence_lab.py",
+           '"lambda": lambda_measure(),',
+           '"lambda": dirac(finite(0)),',
+           (CONVERGENCE + "test_a_builtin_weak_limit_is_one_object_that_no_query_rebuilds"
+                          "[lambda-64]",)),
+    Mutant("identities take the first index attaining the max", "process_lab.py",
+           "z = n - bits[::-1].index(y)",
+           "z = bits.index(y) + 1",
+           (PROCESS + "test_identity_report_holds_on_small_horizons",)),
     Mutant("_checked ignores the cap", "process_lab.py",
            "if cap is not None and n > cap:",
            "if False:",

@@ -47,6 +47,7 @@ from limitgap.errors import (
 from limitgap.measure_core import (
     NEG_INF,
     POS_INF,
+    DiscreteMeasure,
     Interval,
     MeasurableSet,
     dirac,
@@ -756,6 +757,44 @@ def test_order_b_requests_only_the_members_it_reads(monkeypatch):
     requests.clear()
     branch_check(table, "n-1", 1024)  # the weak limit and tightness read all 12
     assert len(requests) == 2 * 12 + _TAIL
+
+
+def _count_measures_built(monkeypatch) -> list:
+    built = []
+    post_init = DiscreteMeasure.__post_init__
+    monkeypatch.setattr(
+        DiscreteMeasure, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    return built
+
+
+@pytest.mark.parametrize("horizon", [2, 64, 1024])
+@pytest.mark.parametrize("kind", ["mu", "lambda", "dirac_n"])
+def test_a_builtin_weak_limit_is_one_object_that_no_query_rebuilds(monkeypatch, kind, horizon):
+    oracle = from_mass_pairs([(0, HALF), (1, HALF)]) if kind == "lambda" else dirac(POS_INF)
+    built = _count_measures_built(monkeypatch)
+    fam = builtin_family(kind)
+    limit = weak_limit_identify(fam, horizon)
+    assert limit == oracle and weak_limit_identify(fam, horizon) is limit
+    for xs in ("n", "0"):
+        sets = lower_ray_family(parse_sequence_spec(xs))
+        order_a = order_a_limit(fam, sets, horizon)
+        assert order_a.measure_tag == str(oracle) and order_a.value == oracle.mass_of_set(
+            sets.limit()[0])
+        assert order_a_limit(fam, sets, horizon) == order_a
+        assert order_b_limit(fam, sets, horizon).order == "b"
+        assert branch_check(fam, xs, horizon).order_a == order_a
+    assert built == []
+
+
+def test_every_lambda_member_is_its_shared_weak_limit(monkeypatch):
+    oracle = from_mass_pairs([(0, HALF), (1, HALF)])
+    built = _count_measures_built(monkeypatch)
+    lam = builtin_family("lambda")
+    limit = weak_limit_identify(lam, 64)
+    for n in range(1, 6):
+        assert lam.member(n) == oracle and lam.member(n) is limit
+    assert built == []
 
 
 # --- closed-form builtin masses against the members ---

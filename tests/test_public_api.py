@@ -90,7 +90,7 @@ import contextlib, io, sys
 from limitgap.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "limitgap.event_dsl" in sys.modules)
+print(code, "limitgap.event_dsl" in sys.modules, "limitgap.cli_streams" in sys.modules)
 """
 
 
@@ -101,16 +101,20 @@ def _python(*args: str) -> str:
     return done.stdout
 
 
-@pytest.mark.parametrize("argv, loads", [
-    (["converge", "limit", "--family", "mu", "--sets", "I(n-1)", "--order", "a"], False),
-    (["measure", "show", "--family", "@{table}"], False),
-    (["process", "prob", "--n", "4", "--event", "X[N]==0 && Z<N"], True),
-], ids=["converge-limit", "measure-show-table", "process-prob"])
-def test_only_a_command_that_reads_an_event_loads_the_event_language(tmp_path, argv, loads):
+@pytest.mark.parametrize("argv, loads, streams", [
+    (["converge", "limit", "--family", "mu", "--sets", "I(n-1)", "--order", "a"], False, False),
+    (["measure", "show", "--family", "@{table}"], False, False),
+    (["process", "prob", "--n", "4", "--event", "X[N]==0 && Z<N"], True, False),
+    (["plotdata", "--n-max", "3"], False, True),
+], ids=["converge-limit", "measure-show-table", "process-prob", "plotdata"])
+def test_only_a_command_that_reads_an_event_loads_the_event_language(
+    tmp_path, argv, loads, streams
+):
+    """Nor does any command but the two streaming ones load their writers."""
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"measures": [{"atoms": [{"point": "0", "mass": "1"}]}]}))
     argv = [arg.format(table=table) for arg in argv]
-    assert _python("-c", _PROBE, *argv).split() == ["0", str(loads)]
+    assert _python("-c", _PROBE, *argv).split() == ["0", str(loads), str(streams)]
 
 
 _REIMPORT = """

@@ -6,12 +6,22 @@ for a limiting probability — the limiting measure applied to the limiting
 set versus the limit of the per-n masses.  For tight families the orders
 agree; the built-in argmax family drives them exactly 1/2 apart.
 
-The event language (`limitgap.event_dsl` and the four names it exports here)
-is loaded on first use, so a command that reads no event does not pay for
-importing it.  Every other module is imported with the package.
+The package loads `errors`, `measure_core` and `process_lab` when it is
+imported.  The limit machinery (`convergence_lab`, which also brings the
+family names), the extended line (`extended_line`) and the event language
+(`event_dsl`) load on first use of one of their names, so a command that
+never reaches them does not pay to compile and run them.  `process_lab`
+stays eager, because a tracer wraps only the modules loaded before it starts.
+
+A program that purges `limitgap` from `sys.modules` and imports it again
+holds two package generations.  A module that the older one loads later is
+imported among that generation's own modules, so its classes and errors are
+the ones its other names use.
 """
 
 import importlib
+import sys
+from types import ModuleType
 
 from .errors import (
     BadEpsilonError,
@@ -51,7 +61,6 @@ from .measure_core import (
     set_from_dict,
     set_to_dict,
 )
-from .extended_line import UnitReal, compactify_measure, h, h_inv, metric_d
 from .process_lab import (
     FAIR,
     IdentityReport,
@@ -66,45 +75,64 @@ from .process_lab import (
     verify_process_identities,
     z_distribution,
 )
-from .convergence_lab import (
-    BranchReport,
-    LimitReport,
-    MeasureFamily,
-    RealSequence,
-    SequenceAnalysis,
-    SetFamily,
-    TightnessVerdict,
-    analyze_rational_sequence,
-    branch_check,
-    builtin_family,
-    integral_limit,
-    lower_ray_family,
-    order_a_limit,
-    order_b_limit,
-    parse_sequence_spec,
-    set_table_family,
-    singleton_family,
-    table_family,
-    tightness_probe,
-    weak_limit_identify,
-)
 
 __version__ = "0.1.0"
 
-_EVENT_NAMES = ("EventPredicate", "eval_event", "parse_event", "print_event")
+# Each module loaded on first use, and the public names it brings.
+_LAZY = {
+    "convergence_lab": (
+        "BranchReport", "LimitReport", "MeasureFamily", "RealSequence", "SequenceAnalysis",
+        "SetFamily", "TightnessVerdict", "analyze_rational_sequence", "branch_check",
+        "builtin_family", "integral_limit", "lower_ray_family", "order_a_limit",
+        "order_b_limit", "parse_sequence_spec", "set_table_family", "singleton_family",
+        "table_family", "tightness_probe", "weak_limit_identify",
+    ),
+    "event_dsl": ("EventPredicate", "eval_event", "parse_event", "print_event"),
+    "extended_line": ("UnitReal", "compactify_measure", "h", "h_inv", "metric_d"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_PACKAGE = sys.modules[__name__]  # this generation
 
 
 def __getattr__(name: str) -> object:
-    # Called only for a name the package does not hold.  `from . import
-    # event_dsl` here would ask this function for the module again.
-    if name == "event_dsl" or name in _EVENT_NAMES:
-        module = importlib.import_module(f"{__name__}.event_dsl")
-        return module if name == "event_dsl" else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Called only for a name the package does not hold yet.
+    module = name if name in _LAZY else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
+
+def _take_entries() -> dict[str, ModuleType]:
+    """Remove and return every limitgap entry of sys.modules."""
+    names = [m for m in sys.modules if m == __name__ or m.startswith(f"{__name__}.")]
+    return {m: sys.modules.pop(m) for m in names}
+
+
+def _load(module: str) -> None:
+    """Import a submodule into this generation and bind it and its public names here.
+
+    Once a re-import has replaced this package in sys.modules, the import
+    runs with this generation's modules put back there, so the new module
+    imports its neighbours from this generation; the others return after.
+    """
+    replaced = sys.modules.get(__name__) is not _PACKAGE
+    if replaced:
+        others = _take_entries()
+        # this generation: _PACKAGE and the submodules bound here
+        sys.modules.update({m.__name__: m for m in globals().values()
+                            if isinstance(m, ModuleType) and m.__name__.startswith(__name__)})
+    try:
+        loaded = importlib.import_module(f"{__name__}.{module}")
+    finally:
+        if replaced:
+            _take_entries()
+            sys.modules.update(others)
+    globals().update({module: loaded, **{name: getattr(loaded, name) for name in _LAZY[module]}})
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *_LAZY, *__all__})
 
 __all__ = [
     "AdditivityReport",

@@ -9,7 +9,7 @@ success, 1 on a domain error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import io
 import json
 import math
@@ -18,28 +18,9 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from .convergence_lab import (
-    MeasureFamily,
-    RealSequence,
-    SetFamily,
-    branch_check,
-    builtin_family,
-    integral_limit,
-    lower_ray_family,
-    order_a_limit,
-    order_b_limit,
-    parse_sequence_spec,
-    set_table_family,
-    singleton_family,
-    table_family,
-    tightness_probe,
-    verify_theorem,
-    weak_limit_identify,
-)
 from .errors import LimitGapError, NRangeError
-from .extended_line import compactify_measure, h, saturating_float
 from .measure_core import (
     DiscreteMeasure,
     MeasurableSet,
@@ -61,10 +42,17 @@ from .process_lab import (
     verify_process_identities,
 )
 
+if TYPE_CHECKING:
+    from .convergence_lab import SetFamily
+    from .families import MeasureFamily
+
+# The limit machinery, the family model, the extended line and csv are
+# imported by the handlers that use them, so a command loads only what it runs.
+# Each test function takes the extended line module, then a point.
 _TEST_FUNCTIONS: dict[str, Callable] = {
-    "sin": lambda x: math.sin(saturating_float(x)),
-    "atan": lambda x: math.atan(saturating_float(x)),
-    "h": lambda x: h(x).value,
+    "sin": lambda line, x: math.sin(line.saturating_float(x)),
+    "atan": lambda line, x: math.atan(line.saturating_float(x)),
+    "h": lambda line, x: line.h(x).value,
 }
 
 
@@ -98,6 +86,7 @@ def _records(data: Any, key: str) -> Any:
 
 
 def _family_arg(spec: str) -> MeasureFamily:
+    from .families import builtin_family, table_family
     if spec.startswith("@"):
         return _load_json(spec[1:], lambda data: table_family(
             [measure_from_dict(d) for d in _records(data, "measures")]))
@@ -108,6 +97,8 @@ _RAY_SEQ = re.compile(r"^I\((.+)\)$")
 
 
 def _set_family_arg(spec: str) -> SetFamily:
+    from .convergence_lab import (
+        RealSequence, lower_ray_family, parse_sequence_spec, set_table_family, singleton_family)
     match = _RAY_SEQ.match(spec)
     if match:
         return lower_ray_family(parse_sequence_spec(match.group(1)))
@@ -190,6 +181,7 @@ def _emit(output: _Output, fmt: str, out_path: str | None) -> None:
         buf.write("\n")
         chunks = (buf.getvalue(),)
     elif fmt == "csv":
+        import csv
         rows = output.rows if output.rows is not None else _key_value_rows(output.data)
         buf = io.StringIO()
         header = list(rows[0]) if rows else ["key"]
@@ -298,11 +290,13 @@ def _cmd_process_escape(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_converge_tightness(args: argparse.Namespace) -> _Output:
+    from .convergence_lab import tightness_probe
     verdict = tightness_probe(_family_arg(args.family), args.epsilon, args.horizon)
     return _Output(verdict.to_dict())
 
 
 def _cmd_converge_limit(args: argparse.Namespace) -> _Output:
+    from .convergence_lab import order_a_limit, order_b_limit
     fam = _family_arg(args.family)
     sets = _set_family_arg(args.sets)
     if args.order == "a":
@@ -314,26 +308,32 @@ def _cmd_converge_limit(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_converge_weaklimit(args: argparse.Namespace) -> _Output:
+    from .convergence_lab import weak_limit_identify
     limit = weak_limit_identify(_family_arg(args.family), args.horizon)
     return _measure_output(limit)
 
 
 def _cmd_converge_testfn(args: argparse.Namespace) -> _Output:
-    f = _TEST_FUNCTIONS[args.fn]
+    from . import extended_line
+    from .convergence_lab import integral_limit
+    f = functools.partial(_TEST_FUNCTIONS[args.fn], extended_line)
     report = integral_limit(_family_arg(args.family), f, args.horizon)
     return _Output({"fn": args.fn, **report.to_dict()})
 
 
 def _cmd_converge_branches(args: argparse.Namespace) -> _Output:
+    from .convergence_lab import branch_check
     report = branch_check(_family_arg(args.family), args.xs, args.horizon)
     return _Output(report.to_dict())
 
 
 def _cmd_compactify(args: argparse.Namespace) -> _Output:
+    from .extended_line import compactify_measure
     return _measure_output(compactify_measure(_member_arg(args)))
 
 
 def _cmd_theorem_verify(args: argparse.Namespace) -> _Output:
+    from .convergence_lab import verify_theorem
     data = verify_theorem(args.n_max)
     tail = (
         f"order (a): {data['order_a'].get('value')}"

@@ -36,12 +36,19 @@ from .measure_core import (
     ExtReal,
     Interval,
     MeasurableSet,
-    dirac,
     finite,
     parse_rational,
     rat_str,
 )
-from .process_lab import FAIR, _event_dsl, event_probability, lambda_measure, mu_closed_form
+from .families import (  # the package root reads the family names from here
+    _BUILTIN_CDFS,
+    _BUILTIN_LIMITS,
+    MeasureFamily,
+    _check_index,
+    builtin_family,
+    table_family,
+)
+from .process_lab import FAIR, _event_dsl, event_probability, mu_closed_form
 
 _WINDOW = 8
 _TAIL = _WINDOW + 1  # the most trailing terms analyze_rational_sequence reads
@@ -142,61 +149,7 @@ def analyze_rational_sequence(
 
 
 # ---------------------------------------------------------------------------
-# families
-
-
-def _check_index(n: int, table: tuple | None, noun: str, table_noun: str) -> None:
-    """Refuse a 1-based index below 1, or past the end of a table."""
-    if n < 1:
-        raise DomainError(f"{noun} index must be at least 1, got {n}")
-    if table is not None and n > len(table):
-        raise DomainError(f"{table_noun} has {len(table)} members, index {n} requested")
-
-
-@dataclass(frozen=True)
-class MeasureFamily:
-    """An indexed sequence n -> probability measure, built-in or tabulated."""
-
-    kind: str  # "mu", "lambda", "dirac_n", or "table"
-    table: tuple[DiscreteMeasure, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind != "table" and self.table is not None:
-            raise DomainError(f"a {self.kind} family takes no table")
-        if self.table is None and self.kind not in _BUILTIN_CDFS:
-            raise DomainError(
-                f"unknown builtin family {self.kind!r}; use mu, lambda, dirac_n, "
-                "or a table of measures (@file.json)"
-            )
-        if self.table is not None and not self.table:
-            raise DomainError("explicit family needs at least one measure")
-        for i, m in enumerate(self.table or (), start=1):
-            if not m.is_probability:
-                raise DomainError(
-                    f"family member {i} has total {rat_str(m.total)}, not a probability"
-                )
-
-    def member(self, n: int) -> DiscreteMeasure:
-        _check_index(n, self.table, "family", "explicit family")
-        if self.kind == "mu":
-            return mu_closed_form(n)
-        if self.kind == "lambda":
-            return _BUILTIN_LIMITS["lambda"]  # every member is its weak limit
-        if self.kind == "dirac_n":
-            return dirac(finite(n))
-        return self.table[n - 1]
-
-
-# Each builtin's member n as a cdf on the integers, its whole support:
-# (n, j) -> the mass of (-inf, j].
-_BUILTIN_CDFS: dict[str, Callable[[int, int], Fraction]] = {
-    "mu": lambda n, j: Fraction(0) if j < 1 else Fraction(1) if j >= n
-    else Fraction(2**j - 1, 2**n),
-    "lambda": lambda n, j: Fraction(0) if j < 0 else FAIR if j == 0 else Fraction(1),
-    "dirac_n": lambda n, j: Fraction(j >= n),
-}
-# Each builtin's weak limit, built once: mu's and dirac_n's mass escapes to +inf.
-_BUILTIN_LIMITS = {"mu": dirac(POS_INF), "lambda": lambda_measure(), "dirac_n": dirac(POS_INF)}
+# builtin member masses
 
 
 def _member_mass(fam: MeasureFamily, n: int, s: MeasurableSet) -> Fraction:
@@ -220,14 +173,6 @@ def _member_mass(fam: MeasureFamily, n: int, s: MeasurableSet) -> Fraction:
         (through(iv.hi, iv.hi_closed) - through(iv.lo, not iv.lo_closed) for iv in pieces),
         Fraction(0),
     )
-
-
-def builtin_family(name: str) -> MeasureFamily:
-    return MeasureFamily(name)
-
-
-def table_family(measures: Sequence[DiscreteMeasure]) -> MeasureFamily:
-    return MeasureFamily("table", tuple(measures))
 
 
 class _SequenceKind(NamedTuple):

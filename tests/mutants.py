@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 40 below take about 45 s on a 2-core host.
+start-up plus its tests, and the 41 below take about 45 s on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -76,7 +76,7 @@ MUTANTS = (
            (CONVERGENCE + "test_order_b_scan_is_clipped_to_the_table",)),
     Mutant("branch_check grades order (b) against the wrong report", "convergence_lab.py",
            "_order_b(fam, sets, horizon, lambda: order_a)",
-           "_order_b(fam, sets, horizon, lambda: _order_a(dirac(POS_INF), sets, horizon))",
+           "_order_b(fam, sets, horizon, lambda: _order_a(_BUILTIN_LIMITS['mu'], sets, horizon))",
            (CONVERGENCE + "test_branch_check_reports_what_the_standalone_orders_report[lambda-n-1]",)),
     Mutant("csv itemgetter reversed", "cli.py",
            "map(operator.itemgetter(*header), rows)",
@@ -196,7 +196,7 @@ MUTANTS = (
            "if n <= 12:",
            "if n <= 4:",
            (CONVERGENCE + "test_the_theorem_refuses_an_enumeration_that_disagrees_at_one_n",)),
-    Mutant("mu's cdf without the -1", "convergence_lab.py",
+    Mutant("mu's cdf without the -1", "families.py",
            "else Fraction(2**j - 1, 2**n)",
            "else Fraction(2**j, 2**n)",
            (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
@@ -204,11 +204,11 @@ MUTANTS = (
            "math.floor(x.value) if closed else math.ceil(x.value) - 1",
            "math.floor(x.value)",
            (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
-    Mutant("dirac_n's cdf steps one past n", "convergence_lab.py",
+    Mutant("dirac_n's cdf steps one past n", "families.py",
            "Fraction(j >= n)",
            "Fraction(j > n)",
            (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
-    Mutant("lambda's weak limit is the point mass at 0", "convergence_lab.py",
+    Mutant("lambda's weak limit is the point mass at 0", "families.py",
            '"lambda": lambda_measure(),',
            '"lambda": dirac(finite(0)),',
            (CONVERGENCE + "test_a_builtin_weak_limit_is_one_object_that_no_query_rebuilds"
@@ -217,6 +217,11 @@ MUTANTS = (
            "z = n - bits[::-1].index(y)",
            "z = bits.index(y) + 1",
            (PROCESS + "test_identity_report_holds_on_small_horizons",)),
+    Mutant("a re-imported package loads its modules from the newest", "__init__.py",
+           "replaced = sys.modules.get(__name__) is not _PACKAGE",
+           "replaced = False",
+           ("tests/test_public_api.py::"
+            "test_a_generation_left_behind_by_re_imports_answers_as_a_fresh_one[text]",)),
     Mutant("_checked ignores the cap", "process_lab.py",
            "if cap is not None and n > cap:",
            "if False:",

@@ -1,8 +1,9 @@
 """The package's public names: the list is fixed, and each name resolves.
 
-Three types also keep their field names.  The event language is loaded on
-first use: a command that reads no event leaves it unloaded, and a package
-generation left behind by a re-import still answers as a fresh one does.
+Three types also keep their field names.  The limit machinery, the extended
+line and the event language are loaded on first use: a command leaves
+unloaded each module it does not run, and a package generation left behind
+by a re-import still answers as a fresh one does.
 """
 
 import importlib
@@ -85,12 +86,18 @@ def test_sequence_unit_real_and_identity_report_keep_their_fields():
     assert [f.name for f in fields(limitgap.IdentityReport) if not f.init] == ["all_hold"]
 
 
-_PROBE = """
+# Modules that `import limitgap.cli` leaves unloaded, for a command to load if it runs them.
+_DEFERRED = ("limitgap.convergence_lab", "limitgap.extended_line", "limitgap.event_dsl",
+             "limitgap.cli_streams", "csv")
+
+_PROBE = f"""
 import contextlib, io, sys
 from limitgap.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(code, "limitgap.event_dsl" in sys.modules, "limitgap.cli_streams" in sys.modules)
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(code, *[name for name in {_DEFERRED!r} if name in sys.modules])
 """
 
 
@@ -101,20 +108,24 @@ def _python(*args: str) -> str:
     return done.stdout
 
 
-@pytest.mark.parametrize("argv, loads, streams", [
-    (["converge", "limit", "--family", "mu", "--sets", "I(n-1)", "--order", "a"], False, False),
-    (["measure", "show", "--family", "@{table}"], False, False),
-    (["process", "prob", "--n", "4", "--event", "X[N]==0 && Z<N"], True, False),
-    (["plotdata", "--n-max", "3"], False, True),
-], ids=["converge-limit", "measure-show-table", "process-prob", "plotdata"])
-def test_only_a_command_that_reads_an_event_loads_the_event_language(
-    tmp_path, argv, loads, streams
-):
-    """Nor does any command but the two streaming ones load their writers."""
+@pytest.mark.parametrize("argv, loads", [
+    ([], []),
+    (["converge", "limit", "--family", "mu", "--sets", "I(n-1)", "--order", "a"],
+     ["limitgap.convergence_lab"]),
+    (["measure", "show", "--family", "@{table}"], []),
+    (["measure", "show", "--family", "mu", "--n", "3", "--format", "csv"], ["csv"]),
+    (["compactify", "--family", "@{table}"], ["limitgap.extended_line"]),
+    (["process", "prob", "--n", "4", "--event", "X[N]==0 && Z<N"], ["limitgap.event_dsl"]),
+    (["process", "identities", "--n", "4"], []),
+    (["plotdata", "--n-max", "3"], ["limitgap.cli_streams"]),
+], ids=["import-only", "converge-limit", "measure-show-table", "measure-show-csv",
+        "compactify-table", "process-prob", "process-identities", "plotdata"])
+def test_only_a_command_that_reads_an_event_loads_the_event_language(tmp_path, argv, loads):
+    """Nor does any command load another module of _DEFERRED that it does not run."""
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"measures": [{"atoms": [{"point": "0", "mass": "1"}]}]}))
     argv = [arg.format(table=table) for arg in argv]
-    assert _python("-c", _PROBE, *argv).split() == ["0", str(loads), str(streams)]
+    assert _python("-c", _PROBE, *argv).split() == ["0", *loads]
 
 
 _REIMPORT = """
@@ -126,11 +137,21 @@ def purge():
     for name in [m for m in sys.modules if m == "limitgap" or m.startswith("limitgap.")]:
         del sys.modules[name]
 
+def parse_error(lg):
+    try:
+        lg.event_probability(4, lg.FAIR, "X[[")
+    except lg.EventParseError as exc:
+        return str(exc)
+
 def answers(lg, event):
+    refused = parse_error(lg)
     mu = lg.builtin_family("mu")
     sets = lg.lower_ray_family(lg.parse_sequence_spec("n-1"))
     atan = lambda x: math.atan(lg.extended_line.saturating_float(x))
     return [
+        refused,
+        lg.order_a_limit(mu, lg.singleton_family(lg.POS_INF), 32).to_dict(),
+        lg.measure_to_dict(lg.compactify_measure(mu.member(3))),
         lg.order_a_limit(mu, sets, 32).to_dict(),
         lg.order_b_limit(mu, sets, 32).to_dict(),
         lg.measure_to_dict(lg.weak_limit_identify(mu, 32)),
@@ -152,7 +173,11 @@ print(json.dumps(answers(importlib.import_module("limitgap"), EVENT)))
 @pytest.mark.parametrize("event", ["text", "parsed"])
 def test_a_generation_left_behind_by_re_imports_answers_as_a_fresh_one(event):
     # A re-import (as the benchmark's set-up timing does) leaves callers holding
-    # the first package.  An event it parsed before must still compile there.
+    # the first package.  An event it parsed before must still compile there,
+    # and a module it loads later must use its classes: mixed with the newest
+    # generation's, the atom at +inf would not be found and order (a) would be 0.
     first, fresh = _python("-c", _REIMPORT, event).splitlines()
     assert json.loads(first) == json.loads(fresh)
-    assert json.loads(fresh)[-1] == "31/64"
+    refused, at_infinity, *_, probability = json.loads(fresh)
+    assert refused.endswith("at line 1, column 3") and at_infinity["value"] == "1/1"
+    assert probability == "31/64"

@@ -8,10 +8,14 @@ agree; the built-in argmax family drives them exactly 1/2 apart.
 
 The package loads `errors`, `measure_core` and `process_lab` when it is
 imported.  The limit machinery (`convergence_lab`, which also brings the
-family names), the extended line (`extended_line`) and the event language
-(`event_dsl`) load on first use of one of their names, so a command that
-never reaches them does not pay to compile and run them.  `process_lab`
-stays eager, because a tracer wraps only the modules loaded before it starts.
+family names), the extended line (`extended_line`), the event language
+(`event_dsl`) and the identity oracle (`identities`) load on first use of one
+of their names, so a command that never reaches them does not pay to compile
+and run them.  Those four are the modules that declare dataclasses, so
+`dataclasses` (and the `inspect` it imports) loads only with them; the value
+types of `measure_core` and the family model are plain slotted records.
+`process_lab` stays eager, because a tracer wraps only the modules loaded
+before it starts.
 
 A program that purges `limitgap` from `sys.modules` and imports it again
 holds two package generations.  A module that the older one loads later is
@@ -63,7 +67,6 @@ from .measure_core import (
 )
 from .process_lab import (
     FAIR,
-    IdentityReport,
     Outcome,
     ProcessRow,
     enumerate_outcomes,
@@ -72,7 +75,6 @@ from .process_lab import (
     iter_outcomes,
     lambda_measure,
     mu_closed_form,
-    verify_process_identities,
     z_distribution,
 )
 
@@ -89,6 +91,7 @@ _LAZY = {
     ),
     "event_dsl": ("EventPredicate", "eval_event", "parse_event", "print_event"),
     "extended_line": ("UnitReal", "compactify_measure", "h", "h_inv", "metric_d"),
+    "identities": ("IdentityReport", "verify_process_identities"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 _PACKAGE = sys.modules[__name__]  # this generation

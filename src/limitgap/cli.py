@@ -16,9 +16,8 @@ import math
 import operator
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LimitGapError, NRangeError
 from .measure_core import (
@@ -39,15 +38,15 @@ from .process_lab import (
     escaped_mass_profile,
     event_probability,
     iter_outcomes,
-    verify_process_identities,
 )
 
 if TYPE_CHECKING:
     from .convergence_lab import SetFamily
     from .families import MeasureFamily
 
-# The limit machinery, the family model, the extended line and csv are
-# imported by the handlers that use them, so a command loads only what it runs.
+# The limit machinery, the family model, the extended line, the identity
+# oracle, dataclasses and csv are imported by the handlers that use them, so a
+# command loads only what it runs.
 # Each test function takes the extended line module, then a point.
 _TEST_FUNCTIONS: dict[str, Callable] = {
     "sin": lambda line, x: math.sin(line.saturating_float(x)),
@@ -128,8 +127,7 @@ def _single_set_arg(spec: str) -> MeasurableSet:
 # output plumbing
 
 
-@dataclass(frozen=True, slots=True)
-class _Output:
+class _Output(NamedTuple):
     data: dict[str, Any]  # json payload
     rows: list[dict[str, Any]] | None = None  # table/csv rows, if tabular
     blocks: Callable[[str], Iterator[str]] | None = None  # every format's text, in place of data and rows
@@ -267,6 +265,8 @@ def _cmd_process_prob(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_process_identities(args: argparse.Namespace) -> _Output:
+    from dataclasses import asdict
+    from .identities import verify_process_identities
     report = verify_process_identities(args.n, args.p)
     return _Output({key: rat_str(value) if isinstance(value, Fraction) else value
                     for key, value in asdict(report).items()})

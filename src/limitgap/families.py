@@ -10,12 +10,11 @@ nothing else, so this module is kept apart from the limit machinery of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError
-from .measure_core import POS_INF, DiscreteMeasure, dirac, finite, rat_str
+from .measure_core import POS_INF, DiscreteMeasure, _Record, dirac, finite, rat_str
 from .process_lab import FAIR, lambda_measure, mu_closed_form
 
 
@@ -27,28 +26,28 @@ def _check_index(n: int, table: tuple | None, noun: str, table_noun: str) -> Non
         raise DomainError(f"{table_noun} has {len(table)} members, index {n} requested")
 
 
-@dataclass(frozen=True)
-class MeasureFamily:
+class MeasureFamily(_Record):
     """An indexed sequence n -> probability measure, built-in or tabulated."""
 
-    kind: str  # "mu", "lambda", "dirac_n", or "table"
-    table: tuple[DiscreteMeasure, ...] | None = None
+    __slots__ = ("kind", "table")  # kind: "mu", "lambda", "dirac_n", or "table"
 
-    def __post_init__(self) -> None:
-        if self.kind != "table" and self.table is not None:
-            raise DomainError(f"a {self.kind} family takes no table")
-        if self.table is None and self.kind not in _BUILTIN_CDFS:
+    def __init__(self, kind: str, table: tuple[DiscreteMeasure, ...] | None = None) -> None:
+        if kind != "table" and table is not None:
+            raise DomainError(f"a {kind} family takes no table")
+        if table is None and kind not in _BUILTIN_CDFS:
             raise DomainError(
-                f"unknown builtin family {self.kind!r}; use mu, lambda, dirac_n, "
+                f"unknown builtin family {kind!r}; use mu, lambda, dirac_n, "
                 "or a table of measures (@file.json)"
             )
-        if self.table is not None and not self.table:
+        if table is not None and not table:
             raise DomainError("explicit family needs at least one measure")
-        for i, m in enumerate(self.table or (), start=1):
+        for i, m in enumerate(table or (), start=1):
             if not m.is_probability:
                 raise DomainError(
                     f"family member {i} has total {rat_str(m.total)}, not a probability"
                 )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
 
     def member(self, n: int) -> DiscreteMeasure:
         _check_index(n, self.table, "family", "explicit family")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -48,8 +47,45 @@ def parse_rational(text: str) -> Fraction:
         raise BadRationalError(f"not an exact rational: {text!r}") from None
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class ExtReal:
+class _Record:
+    """An immutable slotted record, read field by field in `__slots__` order.
+
+    Equality (within one class), hash, repr and pickling match a frozen
+    dataclass's; any assignment or deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class ExtReal(_Record):
     """A point of R-bar: -inf, a finite rational, or +inf.
 
     The total order puts -inf below every finite rational and +inf above;
@@ -57,15 +93,49 @@ class ExtReal:
     so they can serve as measure support points and dict keys.
     """
 
-    tag: int  # _NEG < _FIN < _POS, compared before value: that gives the order
-    value: Fraction | None = None
+    __slots__ = ("tag", "value")  # tag _NEG < _FIN < _POS, compared before value
 
-    def __post_init__(self) -> None:
-        if self.tag == _FIN:
-            if not isinstance(self.value, Fraction):
-                object.__setattr__(self, "value", Fraction(self.value))
-        elif self.value is not None:
+    def __init__(self, tag: int, value: Fraction | int | str | None = None) -> None:
+        if tag == _FIN:
+            if value is None:
+                raise ValueError("a finite point carries a value")
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+        elif tag != _NEG and tag != _POS:
+            raise ValueError(f"a point's tag is -1, 0 or 1, got {tag!r}")
+        elif value is not None:
             raise ValueError("infinite points carry no value")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "value", value)
+
+    # The (tag, value) compares a dataclass with order=True would generate.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.tag, self.value) == (other.tag, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.value))
+
+    def __lt__(self, other: ExtReal) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.tag, self.value) < (other.tag, other.value)
+        return NotImplemented
+
+    def __le__(self, other: ExtReal) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.tag, self.value) <= (other.tag, other.value)
+        return NotImplemented
+
+    def __gt__(self, other: ExtReal) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.tag, self.value) > (other.tag, other.value)
+        return NotImplemented
+
+    def __ge__(self, other: ExtReal) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.tag, self.value) >= (other.tag, other.value)
+        return NotImplemented
 
     @property
     def is_finite(self) -> bool:
@@ -101,14 +171,16 @@ def parse_ext_real(text: str) -> ExtReal:
     return finite(parse_rational(stripped))
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(_Record):
     """An interval of R-bar with independently open/closed endpoints."""
 
-    lo: ExtReal
-    lo_closed: bool
-    hi: ExtReal
-    hi_closed: bool
+    __slots__ = ("lo", "lo_closed", "hi", "hi_closed")
+
+    def __init__(self, lo: ExtReal, lo_closed: bool, hi: ExtReal, hi_closed: bool) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "lo_closed", lo_closed)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "hi_closed", hi_closed)
 
     # Each end as a (point, side) key, where side True sorts just after the
     # point: an open lower end starts after lo, a closed upper end ends after hi.
@@ -160,8 +232,7 @@ def _merged(intervals: Iterable[Interval], points: Iterable[ExtReal]) -> list[In
     return merged
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurableSet:
+class MeasurableSet(_Record):
     """A finite union of intervals plus a finite point set, in normal form.
 
     Normal form: intervals are non-degenerate, sorted, and pairwise disjoint
@@ -170,11 +241,10 @@ class MeasurableSet:
     so structural equality means set equality.
     """
 
-    intervals: tuple[Interval, ...] = ()
-    points: tuple[ExtReal, ...] = ()
+    __slots__ = ("intervals", "points")
 
-    def __post_init__(self) -> None:
-        merged = _merged(self.intervals, self.points)
+    def __init__(self, intervals: Iterable[Interval] = (), points: Iterable[ExtReal] = ()) -> None:
+        merged = _merged(intervals, points)
         object.__setattr__(self, "intervals", tuple(iv for iv in merged if not iv.is_point))
         object.__setattr__(self, "points", tuple(iv.lo for iv in merged if iv.is_point))
 
@@ -269,8 +339,7 @@ class MeasurableSet:
         return " U ".join(parts) if parts else "(empty)"
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Record):
     """A finite atom map with exact rational masses and total at most 1.
 
     Construction normalizes: duplicate points are summed, zero-mass atoms
@@ -280,8 +349,11 @@ class DiscreteMeasure:
     [0, 1] unit-interval points).
     """
 
-    atoms: tuple[tuple[Any, Fraction], ...]
-    total: Fraction = field(init=False)
+    __slots__ = ("atoms", "total")
+
+    def __init__(self, atoms: Iterable[tuple[Any, Fraction | int | str]]) -> None:
+        object.__setattr__(self, "atoms", atoms)
+        self.__post_init__()  # looked up on the class, where a tracer may wrap it
 
     def __post_init__(self) -> None:
         merged: dict[Any, Fraction] = {}
@@ -367,8 +439,7 @@ def from_mass_pairs(
     return DiscreteMeasure(tuple(atoms))
 
 
-@dataclass(frozen=True, slots=True)
-class AdditivityReport:
+class AdditivityReport(_Record):
     """Whether mass(A) + mass(B) is itself the mass of an event.
 
     `disjoint` is set-theoretic disjointness of A and B; `eligible` says the
@@ -377,16 +448,20 @@ class AdditivityReport:
     measure of any set.
     """
 
-    mass_a: Fraction
-    mass_b: Fraction
-    mass_union: Fraction
-    mass_sum: Fraction
-    disjoint: bool
-    eligible: bool
+    __slots__ = ("mass_a", "mass_b", "mass_union", "mass_sum", "disjoint", "eligible")
+
+    def __init__(self, mass_a: Fraction, mass_b: Fraction, mass_union: Fraction,
+                 mass_sum: Fraction, disjoint: bool, eligible: bool) -> None:
+        object.__setattr__(self, "mass_a", mass_a)
+        object.__setattr__(self, "mass_b", mass_b)
+        object.__setattr__(self, "mass_union", mass_union)
+        object.__setattr__(self, "mass_sum", mass_sum)
+        object.__setattr__(self, "disjoint", disjoint)
+        object.__setattr__(self, "eligible", eligible)
 
     def to_dict(self) -> dict[str, Any]:
         return {key: rat_str(value) if isinstance(value, Fraction) else value
-                for key, value in asdict(self).items()}
+                for key, value in zip(self.__slots__, self._values())}
 
 
 def check_additivity(

@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 41 below take about 45 s on a 2-core host.
+start-up plus its tests, and the 43 below take 1-2 min on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -161,12 +161,22 @@ MUTANTS = (
            "return (self.lo, self.lo_closed) >= self._upper",
            (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
     Mutant("sets skip their normal form", "measure_core.py",
-           "merged = _merged(self.intervals, self.points)",
-           "merged = [*self.intervals, *(Interval(p, True, p, True) for p in self.points)]",
+           "merged = _merged(intervals, points)",
+           "merged = [*intervals, *(Interval(p, True, p, True) for p in points)]",
            (MEASURE + "test_the_constructor_puts_any_pieces_in_normal_form",
             MEASURE + "test_the_constructor_drops_an_empty_interval",
             CONVERGENCE + "test_a_raw_set_with_overlapping_pieces_has_its_member_mass",
             CONVERGENCE + "test_a_table_of_equal_raw_sets_settles_on_that_set")),
+    Mutant("the record base's __eq__ accepts another class", "measure_core.py",
+           """if other.__class__ is self.__class__:
+            return self._values() == other._values()""",
+           """if isinstance(other, _Record):
+            return self._values() == other._values()""",
+           (MEASURE + "test_each_record_keeps_its_dataclass_behaviour[Interval]",)),
+    Mutant("ExtReal.__le__ is strict", "measure_core.py",
+           "return (self.tag, self.value) <= (other.tag, other.value)",
+           "return (self.tag, self.value) < (other.tag, other.value)",
+           (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
     Mutant("touching open ends merge", "measure_core.py",
            "if merged and piece._lower <= merged[-1]._upper:",
            "if merged and piece.lo <= merged[-1].hi:",
@@ -213,7 +223,7 @@ MUTANTS = (
            '"lambda": dirac(finite(0)),',
            (CONVERGENCE + "test_a_builtin_weak_limit_is_one_object_that_no_query_rebuilds"
                           "[lambda-64]",)),
-    Mutant("identities take the first index attaining the max", "process_lab.py",
+    Mutant("identities take the first index attaining the max", "identities.py",
            "z = n - bits[::-1].index(y)",
            "z = bits.index(y) + 1",
            (PROCESS + "test_identity_report_holds_on_small_horizons",)),

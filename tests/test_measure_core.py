@@ -1,14 +1,19 @@
 """Exactness, normal forms, and additivity of the measure layer."""
 
+import copy
+import operator
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from limitgap.errors import LimitGapError, NegativeMassError, TotalExceedsOneError
+from limitgap.families import MeasureFamily
 from limitgap.measure_core import (
     NEG_INF,
     POS_INF,
+    AdditivityReport,
     DiscreteMeasure,
     ExtReal,
     Interval,
@@ -47,6 +52,71 @@ def test_ext_real_coerces_a_finite_value_and_refuses_an_infinite_one():
     for infinity in (NEG_INF, POS_INF):
         with pytest.raises(ValueError, match="infinite points carry no value"):
             ExtReal(infinity.tag, F(1))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2,), "a point's tag is -1, 0 or 1, got 2"),
+    ((-2, None), "a point's tag is -1, 0 or 1, got -2"),
+    ((0,), "a finite point carries a value"),
+    ((0, None), "a finite point carries a value"),
+])
+def test_ext_real_refuses_an_unknown_tag_and_a_finite_point_without_a_value(args, message):
+    with pytest.raises(ValueError, match=message):
+        ExtReal(*args)
+
+
+# Each record type, the arguments of one instance, its first field and its
+# repr as recorded when these types were frozen dataclasses.
+_RECORDS = {
+    "ExtReal": (ExtReal, (0, 3), "tag", "ExtReal(tag=0, value=Fraction(3, 1))"),
+    "Interval": (
+        Interval, (NEG_INF, False, finite(F(1, 2)), True), "lo",
+        "Interval(lo=ExtReal(tag=-1, value=None), lo_closed=False, "
+        "hi=ExtReal(tag=0, value=Fraction(1, 2)), hi_closed=True)",
+    ),
+    "MeasurableSet": (
+        MeasurableSet, ((Interval(finite(0), True, finite(1), False),), (POS_INF,)), "intervals",
+        "MeasurableSet(intervals=(Interval(lo=ExtReal(tag=0, value=Fraction(0, 1)), "
+        "lo_closed=True, hi=ExtReal(tag=0, value=Fraction(1, 1)), hi_closed=False),), "
+        "points=(ExtReal(tag=1, value=None),))",
+    ),
+    "DiscreteMeasure": (
+        DiscreteMeasure, (((POS_INF, F(1)),),), "atoms",
+        "DiscreteMeasure(atoms=((ExtReal(tag=1, value=None), Fraction(1, 1)),), "
+        "total=Fraction(1, 1))",
+    ),
+    "AdditivityReport": (
+        AdditivityReport, (F(1), F(1), F(1), F(2), False, False), "mass_a",
+        "AdditivityReport(mass_a=Fraction(1, 1), mass_b=Fraction(1, 1), "
+        "mass_union=Fraction(1, 1), mass_sum=Fraction(2, 1), disjoint=False, eligible=False)",
+    ),
+    "MeasureFamily": (MeasureFamily, ("mu",), "kind", "MeasureFamily(kind='mu', table=None)"),
+}
+
+
+@pytest.mark.parametrize("cls, args, first, text", _RECORDS.values(), ids=list(_RECORDS))
+def test_each_record_keeps_its_dataclass_behaviour(cls, args, first, text):
+    a, b = cls(*args), cls(*args)
+    assert repr(a) == text
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    twin = type("Twin", (cls,), {})(*args)  # equal fields, another class
+    assert a != twin and twin != a
+    with pytest.raises(AttributeError):
+        setattr(a, first, getattr(b, first))
+    with pytest.raises(AttributeError):
+        delattr(a, first)
+    assert repr(a) == text
+    copies = [pickle.loads(pickle.dumps(a, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in (*copies, copy.copy(a), copy.deepcopy(a)):
+        assert type(c) is cls and c == a and hash(c) == hash(a) and repr(c) == text
+
+
+def test_a_point_equals_and_orders_only_points():
+    assert finite(1) != (0, 1) and (0, F(1)) != finite(1)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(finite(1), 2)
 
 
 def test_equality_is_exact_rational_equality():
@@ -321,8 +391,8 @@ _PROBES = sorted({
 def _in_pieces(intervals, points, x):
     """Pointwise membership in a union of intervals and points, from the definitions."""
     return x in points or any(
-        (iv.lo < x or (iv.lo == x and iv.lo_closed))
-        and (x < iv.hi or (x == iv.hi and iv.hi_closed))
+        (iv.lo <= x if iv.lo_closed else iv.lo < x)
+        and (x <= iv.hi if iv.hi_closed else x < iv.hi)
         for iv in intervals
     )
 

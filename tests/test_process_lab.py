@@ -11,6 +11,7 @@ import event_oracle
 from limitgap import process_lab
 from limitgap.errors import DomainError, KRangeError, NTooLargeError
 from limitgap.event_dsl import parse_event, print_event
+from limitgap.identities import verify_process_identities
 from limitgap.measure_core import finite, from_mass_pairs
 from limitgap.process_lab import (
     enumerate_outcomes,
@@ -19,7 +20,6 @@ from limitgap.process_lab import (
     iter_outcomes,
     lambda_measure,
     mu_closed_form,
-    verify_process_identities,
     z_distribution,
 )
 

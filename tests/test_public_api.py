@@ -1,8 +1,8 @@
 """The package's public names: the list is fixed, and each name resolves.
 
 Three types also keep their field names.  The limit machinery, the extended
-line and the event language are loaded on first use: a command leaves
-unloaded each module it does not run, and a package generation left behind
+line, the event language and the identity oracle are loaded on first use, as
+is `dataclasses`: a command leaves unloaded each module it does not run, and a package generation left behind
 by a re-import still answers as a fresh one does.
 """
 
@@ -88,7 +88,7 @@ def test_sequence_unit_real_and_identity_report_keep_their_fields():
 
 # Modules that `import limitgap.cli` leaves unloaded, for a command to load if it runs them.
 _DEFERRED = ("limitgap.convergence_lab", "limitgap.extended_line", "limitgap.event_dsl",
-             "limitgap.cli_streams", "csv")
+             "limitgap.cli_streams", "limitgap.identities", "csv", "dataclasses", "inspect")
 
 _PROBE = f"""
 import contextlib, io, sys
@@ -108,18 +108,27 @@ def _python(*args: str) -> str:
     return done.stdout
 
 
+# dataclasses, and the inspect module it imports, load only with a module that
+# declares dataclasses: the limit machinery, the extended line, the event
+# language or the identity oracle.
+_DATACLASSES = ["dataclasses", "inspect"]
+
+
 @pytest.mark.parametrize("argv, loads", [
     ([], []),
     (["converge", "limit", "--family", "mu", "--sets", "I(n-1)", "--order", "a"],
-     ["limitgap.convergence_lab"]),
+     ["limitgap.convergence_lab", *_DATACLASSES]),
     (["measure", "show", "--family", "@{table}"], []),
     (["measure", "show", "--family", "mu", "--n", "3", "--format", "csv"], ["csv"]),
-    (["compactify", "--family", "@{table}"], ["limitgap.extended_line"]),
-    (["process", "prob", "--n", "4", "--event", "X[N]==0 && Z<N"], ["limitgap.event_dsl"]),
-    (["process", "identities", "--n", "4"], []),
+    (["compactify", "--family", "@{table}"], ["limitgap.extended_line", *_DATACLASSES]),
+    (["process", "prob", "--n", "4", "--event", "X[N]==0 && Z<N"],
+     ["limitgap.event_dsl", *_DATACLASSES]),
+    (["process", "identities", "--n", "4"], ["limitgap.identities", *_DATACLASSES]),
+    (["process", "enumerate", "--n", "3"], ["limitgap.cli_streams"]),
     (["plotdata", "--n-max", "3"], ["limitgap.cli_streams"]),
 ], ids=["import-only", "converge-limit", "measure-show-table", "measure-show-csv",
-        "compactify-table", "process-prob", "process-identities", "plotdata"])
+        "compactify-table", "process-prob", "process-identities", "process-enumerate",
+        "plotdata"])
 def test_only_a_command_that_reads_an_event_loads_the_event_language(tmp_path, argv, loads):
     """Nor does any command load another module of _DEFERRED that it does not run."""
     table = tmp_path / "table.json"

@@ -7,11 +7,11 @@ set versus the limit of the per-n masses.  For tight families the orders
 agree; the built-in argmax family drives them exactly 1/2 apart.
 
 The package loads `errors`, `measure_core` and `process_lab` when it is
-imported.  The limit machinery (`convergence_lab`, which also brings the
-family names), the extended line (`extended_line`), the event language
+imported.  The family model (`families`), the limit machinery
+(`convergence_lab`), the extended line (`extended_line`), the event language
 (`event_dsl`) and the identity oracle (`identities`) load on first use of one
 of their names, so a command that never reaches them does not pay to compile
-and run them.  Those four are the modules that declare dataclasses, so
+and run them.  The last four are the modules that declare dataclasses, so
 `dataclasses` (and the `inspect` it imports) loads only with them; the value
 types of `measure_core` and the family model are plain slotted records.
 `process_lab` stays eager, because a tracer wraps only the modules loaded
@@ -83,12 +83,12 @@ __version__ = "0.1.0"
 # Each module loaded on first use, and the public names it brings.
 _LAZY = {
     "convergence_lab": (
-        "BranchReport", "LimitReport", "MeasureFamily", "RealSequence", "SequenceAnalysis",
-        "SetFamily", "TightnessVerdict", "analyze_rational_sequence", "branch_check",
-        "builtin_family", "integral_limit", "lower_ray_family", "order_a_limit",
-        "order_b_limit", "parse_sequence_spec", "set_table_family", "singleton_family",
-        "table_family", "tightness_probe", "weak_limit_identify",
+        "BranchReport", "LimitReport", "RealSequence", "SequenceAnalysis", "SetFamily",
+        "TightnessVerdict", "analyze_rational_sequence", "branch_check", "integral_limit",
+        "lower_ray_family", "order_a_limit", "order_b_limit", "parse_sequence_spec",
+        "set_table_family", "singleton_family", "tightness_probe", "weak_limit_identify",
     ),
+    "families": ("MeasureFamily", "builtin_family", "table_family"),
     "event_dsl": ("EventPredicate", "eval_event", "parse_event", "print_event"),
     "extended_line": ("UnitReal", "compactify_measure", "h", "h_inv", "metric_d"),
     "identities": ("IdentityReport", "verify_process_identities"),

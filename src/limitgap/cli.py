@@ -143,8 +143,6 @@ def _key_value_rows(data: dict[str, Any]) -> list[dict[str, Any]]:
 
 
 def _rows_table(rows: Sequence[dict[str, Any]]) -> str:
-    if not rows:
-        return "(no rows)"
     headers = list(rows[0])
     widths = {
         h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers
@@ -182,11 +180,10 @@ def _emit(output: _Output, fmt: str, out_path: str | None) -> None:
         import csv
         rows = output.rows if output.rows is not None else _key_value_rows(output.data)
         buf = io.StringIO()
-        header = list(rows[0]) if rows else ["key"]
+        header = list(rows[0])  # two or more columns, so itemgetter gives a tuple
         writer = csv.writer(buf)
         writer.writerow(header)
-        if rows:  # itemgetter gives a tuple: every table has two or more columns
-            writer.writerows(map(operator.itemgetter(*header), rows))
+        writer.writerows(map(operator.itemgetter(*header), rows))
         chunks = (buf.getvalue(),)
     else:
         body = _rows_table(output.rows) if output.rows is not None else "\n".join(
@@ -265,11 +262,8 @@ def _cmd_process_prob(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_process_identities(args: argparse.Namespace) -> _Output:
-    from dataclasses import asdict
     from .identities import verify_process_identities
-    report = verify_process_identities(args.n, args.p)
-    return _Output({key: rat_str(value) if isinstance(value, Fraction) else value
-                    for key, value in asdict(report).items()})
+    return _Output(verify_process_identities(args.n, args.p).to_dict())
 
 
 def _cmd_process_escape(args: argparse.Namespace) -> _Output:

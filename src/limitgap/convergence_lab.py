@@ -36,11 +36,12 @@ from .measure_core import (
     ExtReal,
     Interval,
     MeasurableSet,
+    _value_json,
     finite,
     parse_rational,
     rat_str,
 )
-from .families import (  # the package root reads the family names from here
+from .families import (  # tests and perfbench's tracer read the family names from here
     _BUILTIN_CDFS,
     _BUILTIN_LIMITS,
     MeasureFamily,
@@ -54,19 +55,11 @@ _WINDOW = 8
 _TAIL = _WINDOW + 1  # the most trailing terms analyze_rational_sequence reads
 
 
-def _value_json(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return rat_str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return value.to_dict() if hasattr(value, "to_dict") else value
-
-
 # ---------------------------------------------------------------------------
 # exact limit detection for rational sequences
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SequenceAnalysis:
     """How a finite rational sequence settles, if it does.
 
@@ -194,7 +187,7 @@ _SEQUENCE_KINDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RealSequence:
     """A monotone rational sequence x_n in one of four closed forms.
 
@@ -329,7 +322,7 @@ def set_table_family(sets: Sequence[MeasurableSet]) -> SetFamily:
 # reports
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LimitReport:
     """Result of one limit evaluation.
 
@@ -366,7 +359,7 @@ class LimitReport:
         return data
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TightnessVerdict:
     """Whether one interval can hold all but epsilon of every member's mass."""
 
@@ -677,7 +670,7 @@ def order_b_limit(
 # the Lemma-style three-way check
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BranchReport:
     """Both evaluation orders on rho_n(I(x_n)), against the tightness verdict.
 

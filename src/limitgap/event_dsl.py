@@ -46,17 +46,17 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Lit:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Var:
     name: str  # "Y", "Z", or "N"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Coord:
     index: int | None  # X[index], or X[N] when None
 
@@ -64,25 +64,25 @@ class Coord:
 Term = Lit | Var | Coord
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Cmp:
     op: str
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Not:
     operand: "Node"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class And:
     lhs: "Node"
     rhs: "Node"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Or:
     lhs: "Node"
     rhs: "Node"
@@ -91,7 +91,7 @@ class Or:
 Node = Cmp | Not | And | Or
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EventPredicate:
     """A parsed event expression; compile_event evaluates it, and eval_event wraps that."""
 
@@ -114,7 +114,7 @@ def _max_index(node: Node) -> int:
     return max(_max_index(node.lhs), _max_index(node.rhs))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class _Token:
     kind: str  # "int", "name", "cmp", "&&", "||", "!", "(", ")", "[", "]", "eof"
     text: str

@@ -23,7 +23,7 @@ from .errors import DomainError
 from .measure_core import NEG_INF, POS_INF, DiscreteMeasure, ExtReal, finite
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, order=True)
 class UnitReal:
     """A point of [0, 1] in the image of h, tagged with its preimage."""
 

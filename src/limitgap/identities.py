@@ -9,14 +9,16 @@ when it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
+from typing import Any
 
+from .measure_core import _value_json
 from .process_lab import FAIR, _checked, _popcount_probs, _weighted
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class IdentityReport:
     """Outcome-by-outcome verification of the process identities at horizon n.
 
@@ -38,6 +40,9 @@ class IdentityReport:
     def __post_init__(self) -> None:
         all_hold = self.z_in_range and self.argmax_attains_max and self.set_identity
         object.__setattr__(self, "all_hold", all_hold)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {f.name: _value_json(getattr(self, f.name)) for f in fields(self)}
 
 
 def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:

@@ -31,6 +31,15 @@ def rat_str(q: Fraction) -> str:
         raise DomainError(f"a rational past the {limit}-digit limit cannot be printed") from None
 
 
+def _value_json(value: Any) -> Any:
+    """A report field as JSON: a rational as rat_str, a float to 17 digits, a report as its dict."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" (or a plain integer string) into an exact rational.
 
@@ -460,8 +469,7 @@ class AdditivityReport(_Record):
         object.__setattr__(self, "eligible", eligible)
 
     def to_dict(self) -> dict[str, Any]:
-        return {key: rat_str(value) if isinstance(value, Fraction) else value
-                for key, value in zip(self.__slots__, self._values())}
+        return {key: _value_json(value) for key, value in zip(self.__slots__, self._values())}
 
 
 def check_additivity(

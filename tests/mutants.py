@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 43 below take 1-2 min on a 2-core host.
+start-up plus its tests, and the 46 below take 1-2 min on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -232,6 +232,22 @@ MUTANTS = (
            "replaced = False",
            ("tests/test_public_api.py::"
             "test_a_generation_left_behind_by_re_imports_answers_as_a_fresh_one[text]",)),
+    Mutant("RealSequence slotted again", "convergence_lab.py",
+           "@dataclass(frozen=True)\nclass RealSequence:",
+           "@dataclass(frozen=True, slots=True)\nclass RealSequence:",
+           ("tests/test_public_api.py::"
+            "test_every_frozen_type_refuses_a_write_with_attribute_error[RealSequence]",)),
+    Mutant("builtin_family loads the limit machinery", "__init__.py",
+           "    _load(module)\n    return globals()[name]",
+           '    if module == "families":\n        _load("convergence_lab")\n'
+           "    _load(module)\n    return globals()[name]",
+           ("tests/test_public_api.py::"
+            "test_the_family_names_load_the_family_model_alone[builtin_family]",)),
+    Mutant("_value_json renders a rational with str", "measure_core.py",
+           "        return rat_str(value)\n    if isinstance(value, float):",
+           "        return str(value)\n    if isinstance(value, float):",
+           (CLI + "test_reports_print_the_pinned_bytes[measure additivity --family "
+                  "@{dir}/settling.json --n 3 --set-a @{dir}/half_open.json --set-b I=1/2-json]",)),
     Mutant("_checked ignores the cap", "process_lab.py",
            "if cap is not None and n > cap:",
            "if False:",

@@ -358,6 +358,13 @@ REPORT_DIGESTS = {
         "cfcebcbae27e2a2a7e91bb115aa610fe0b167cf2882a6ef867554b581e1885cd",
     ("converge tightness --family @{dir}/settling.json --epsilon 1/8", "csv"):
         "d73f8118564afdd938bafec0036ca44a98a55d3f14cdaf52ba1e4d182da2c8fc",
+    # recorded before the identity report wrote its own dict
+    ("process identities --n 6 --p 1/3", "table"):
+        "21bf881468b4fa9aa86d190738aff7a65133a875aaed208c5711b80a0ff42d42",
+    ("process identities --n 6 --p 1/3", "json"):
+        "16b3709d5154365d36699c46cdb988fe711a2df88f98e0ebecd8f26a56a23df9",
+    ("process identities --n 6 --p 1/3", "csv"):
+        "b8900ed819afad04bfac19386b322eef7f756ac4e5554ba18282276b0a456f04",
 }
 
 

@@ -1,17 +1,21 @@
 """The package's public names: the list is fixed, and each name resolves.
 
-Three types also keep their field names.  The limit machinery, the extended
-line, the event language and the identity oracle are loaded on first use, as
-is `dataclasses`: a command leaves unloaded each module it does not run, and a package generation left behind
-by a re-import still answers as a fresh one does.
+Three types also keep their field names, and every frozen type refuses a
+write with AttributeError.  The family model, the limit machinery, the
+extended line, the event language and the identity oracle are loaded on first
+use, as is `dataclasses`: a command leaves unloaded each module it does not
+run, and a package generation left behind by a re-import still answers as a
+fresh one does.
 """
 
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -86,6 +90,60 @@ def test_sequence_unit_real_and_identity_report_keep_their_fields():
     assert [f.name for f in fields(limitgap.IdentityReport) if not f.init] == ["all_hold"]
 
 
+def _frozen_instances() -> dict[str, object]:
+    """One instance of each public frozen type, and of each node of a parsed event."""
+    lg = limitgap
+    mu = lg.builtin_family("mu")
+    rays = lg.lower_ray_family(lg.parse_sequence_spec("n-1"))
+    made = {
+        "ExtReal": lg.finite(3),
+        "Interval": lg.set_from_dict({"intervals": [{"lo": "0", "lo_closed": True, "hi": "1",
+                                                     "hi_closed": False}]}).intervals[0],
+        "MeasurableSet": lg.set_from_dict({"points": ["+inf"]}),
+        "DiscreteMeasure": lg.lambda_measure(),
+        "AdditivityReport": lg.check_additivity(
+            lg.lambda_measure(), lg.set_from_dict({"points": ["0"]}),
+            lg.set_from_dict({"points": ["1"]})),
+        "MeasureFamily": mu,
+        "SequenceAnalysis": lg.analyze_rational_sequence([Fraction(1, 2)] * 10),
+        "RealSequence": lg.parse_sequence_spec("n-1"),
+        "SetFamily": rays,
+        "LimitReport": lg.order_b_limit(mu, rays, 32),
+        "TightnessVerdict": lg.tightness_probe(mu, Fraction(1, 4), 32),
+        "BranchReport": lg.branch_check(mu, "n-1", 32),
+        "UnitReal": lg.h(lg.finite(1)),
+        "IdentityReport": lg.verify_process_identities(3),
+    }
+    nodes = [lg.parse_event("!(X[N]==0) && Z<N || Y==1")]
+    while nodes:
+        node = nodes.pop()
+        made.setdefault(type(node).__name__, node)
+        nodes.extend(child for f in fields(node)
+                     if is_dataclass(child := getattr(node, f.name)))
+    return made
+
+
+_FROZEN = _frozen_instances()
+
+
+def test_a_parsed_event_reaches_every_node_type():
+    assert {"EventPredicate", "Cmp", "Not", "And", "Or", "Lit", "Var", "Coord"} <= set(_FROZEN)
+
+
+@pytest.mark.parametrize("value", _FROZEN.values(), ids=list(_FROZEN))
+def test_every_frozen_type_refuses_a_write_with_attribute_error(value):
+    first = fields(value)[0].name if is_dataclass(value) else value.__slots__[0]
+    kept = getattr(value, first)
+    with pytest.raises(AttributeError):
+        setattr(value, first, kept)
+    with pytest.raises(AttributeError):
+        setattr(value, "not_a_field", 1)
+    with pytest.raises(AttributeError):
+        delattr(value, first)
+    assert getattr(value, first) is kept and not hasattr(value, "not_a_field")
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
 # Modules that `import limitgap.cli` leaves unloaded, for a command to load if it runs them.
 _DEFERRED = ("limitgap.convergence_lab", "limitgap.extended_line", "limitgap.event_dsl",
              "limitgap.cli_streams", "limitgap.identities", "csv", "dataclasses", "inspect")
@@ -135,6 +193,25 @@ def test_only_a_command_that_reads_an_event_loads_the_event_language(tmp_path, a
     table.write_text(json.dumps({"measures": [{"atoms": [{"point": "0", "mass": "1"}]}]}))
     argv = [arg.format(table=table) for arg in argv]
     assert _python("-c", _PROBE, *argv).split() == ["0", *loads]
+
+
+_FAMILY_PROBE = """
+import sys
+import limitgap
+watched = ("limitgap.families", "limitgap.convergence_lab", "dataclasses", "inspect")
+before = [name for name in watched if name in sys.modules]
+{use}
+print(*before, "|", *[name for name in watched if name in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("use", [
+    'assert limitgap.builtin_family("mu").member(2) == limitgap.mu_closed_form(2)',
+    'limitgap.table_family([limitgap.dirac(limitgap.finite(0))])',
+    'assert limitgap.MeasureFamily.__name__ == "MeasureFamily"',
+], ids=["builtin_family", "table_family", "MeasureFamily"])
+def test_the_family_names_load_the_family_model_alone(use):
+    assert _python("-c", _FAMILY_PROBE.format(use=use)).split() == ["|", "limitgap.families"]
 
 
 _REIMPORT = """

@@ -11,9 +11,9 @@ imported.  The family model (`families`), the limit machinery
 (`convergence_lab`), the extended line (`extended_line`), the event language
 (`event_dsl`) and the identity oracle (`identities`) load on first use of one
 of their names, so a command that never reaches them does not pay to compile
-and run them.  The last four are the modules that declare dataclasses, so
-`dataclasses` (and the `inspect` it imports) loads only with them; the value
-types of `measure_core` and the family model are plain slotted records.
+and run them.  Only the limit machinery declares dataclasses, so `dataclasses`
+(and the `inspect` it imports) loads only with it; every other value type is a
+plain slotted record on `measure_core`'s one record base.
 `process_lab` stays eager, because a tracer wraps only the modules loaded
 before it starts.
 

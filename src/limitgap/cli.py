@@ -44,9 +44,9 @@ if TYPE_CHECKING:
     from .convergence_lab import SetFamily
     from .families import MeasureFamily
 
-# The limit machinery, the family model, the extended line, the identity
-# oracle, dataclasses and csv are imported by the handlers that use them, so a
-# command loads only what it runs.
+# The limit machinery (the one module that loads dataclasses), the family
+# model, the extended line, the event language, the identity oracle and csv are
+# imported by the handlers that use them, so a command loads only what it runs.
 # Each test function takes the extended line module, then a point.
 _TEST_FUNCTIONS: dict[str, Callable] = {
     "sin": lambda line, x: math.sin(line.saturating_float(x)),
@@ -363,15 +363,15 @@ _OUTPUT = (_opt("--format", choices=("table", "json", "csv"), default="table"),
            _opt("--out", metavar="PATH"))
 
 
-def _leaf(group: Any, name: str, help: str, handler: Callable, *options: tuple) -> None:
-    """Add subcommand `name` to `group`: its options, then --format and --out."""
-    sub = group.add_parser(name, help=help)
-    for flags, kwargs in (*options, *_OUTPUT):
-        sub.add_argument(*flags, **kwargs)
-    sub.set_defaults(handler=handler)
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    Given the argv it is to parse, only the subcommand that argv's leading
+    words name gets its options, which cost a few hundred microseconds per
+    subcommand; if they name none, as in `measure --bogus show`, every
+    subcommand gets them.  Either way argparse reaches the same subcommand
+    and prints the same help, usage and errors.
+    """
     parser = argparse.ArgumentParser(
         prog="limitgap",
         description="Exact workbench for limits of event probabilities: "
@@ -379,9 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
         "and the two rival evaluation orders for limiting probabilities.",
     )
     top = parser.add_subparsers(dest="command", required=True)
+    groups = {"": top}
+    leaves: list[tuple[argparse.ArgumentParser, list[str], tuple]] = []
 
-    def group(name: str, help: str) -> Any:
-        return top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+    def group(name: str, help: str) -> None:
+        sub = top.add_parser(name, help=help)
+        groups[name] = sub.add_subparsers(dest="subcommand", required=True)
+
+    def leaf(path: str, help: str, handler: Callable, *options: tuple) -> None:
+        """Add subcommand `path`, to take its options, then --format and --out."""
+        words = path.split()
+        sub = groups[" ".join(words[:-1])].add_parser(words[-1], help=help)
+        sub.set_defaults(handler=handler)
+        leaves.append((sub, words, (*options, *_OUTPUT)))
 
     # Built per call, so parse_rational is looked up where a tracer can wrap it.
     family = _opt("--family", required=True)
@@ -390,43 +400,48 @@ def build_parser() -> argparse.ArgumentParser:
     n = _opt("--n", type=int, required=True)
     member_n = _opt("--n", type=int, default=1)
 
-    measure = group("measure", "discrete measures and additivity")
-    _leaf(measure, "show", "print one family member", _cmd_measure_show, family, member_n)
-    _leaf(measure, "additivity", "is mass(A) + mass(B) the mass of an event?",
-          _cmd_measure_additivity, family, member_n,
-          _opt("--set-a", required=True), _opt("--set-b", required=True))
+    group("measure", "discrete measures and additivity")
+    leaf("measure show", "print one family member", _cmd_measure_show, family, member_n)
+    leaf("measure additivity", "is mass(A) + mass(B) the mass of an event?",
+         _cmd_measure_additivity, family, member_n,
+         _opt("--set-a", required=True), _opt("--set-b", required=True))
 
-    process = group("process", "the coin-flip argmax process")
-    _leaf(process, "enumerate", "all 2^n outcome rows", _cmd_process_enumerate, n, p)
-    _leaf(process, "prob", "exact probability of an event", _cmd_process_prob,
-          n, p, _opt("--event", required=True))
-    _leaf(process, "identities", "verify the defining identities on every outcome",
-          _cmd_process_identities, n, p)
-    _leaf(process, "escape", "masses at n-k: the atoms marching off to +inf",
-          _cmd_process_escape, n, _opt("--k-max", type=int))
+    group("process", "the coin-flip argmax process")
+    leaf("process enumerate", "all 2^n outcome rows", _cmd_process_enumerate, n, p)
+    leaf("process prob", "exact probability of an event", _cmd_process_prob,
+         n, p, _opt("--event", required=True))
+    leaf("process identities", "verify the defining identities on every outcome",
+         _cmd_process_identities, n, p)
+    leaf("process escape", "masses at n-k: the atoms marching off to +inf",
+         _cmd_process_escape, n, _opt("--k-max", type=int))
 
-    converge = group("converge", "weak limits and evaluation orders")
-    _leaf(converge, "tightness", "uniform mass-bound probe", _cmd_converge_tightness,
-          family, _opt("--epsilon", type=parse_rational, required=True), horizon)
-    _leaf(converge, "limit", "limiting probability under order (a) or (b)",
-          _cmd_converge_limit, family, _opt("--sets", required=True),
-          _opt("--order", choices=("a", "b"), required=True), horizon)
-    _leaf(converge, "weaklimit", "identify the weak limit", _cmd_converge_weaklimit,
-          family, horizon)
-    _leaf(converge, "testfn", "integrals of a test function along the family",
-          _cmd_converge_testfn, family,
-          _opt("--fn", choices=sorted(_TEST_FUNCTIONS), required=True), horizon)
-    _leaf(converge, "branches",
-          "both orders on rho_n((-inf, x_n]) against the tightness verdict",
-          _cmd_converge_branches, family, _opt("--xs", required=True), horizon)
+    group("converge", "weak limits and evaluation orders")
+    leaf("converge tightness", "uniform mass-bound probe", _cmd_converge_tightness,
+         family, _opt("--epsilon", type=parse_rational, required=True), horizon)
+    leaf("converge limit", "limiting probability under order (a) or (b)",
+         _cmd_converge_limit, family, _opt("--sets", required=True),
+         _opt("--order", choices=("a", "b"), required=True), horizon)
+    leaf("converge weaklimit", "identify the weak limit", _cmd_converge_weaklimit,
+         family, horizon)
+    leaf("converge testfn", "integrals of a test function along the family",
+         _cmd_converge_testfn, family,
+         _opt("--fn", choices=sorted(_TEST_FUNCTIONS), required=True), horizon)
+    leaf("converge branches",
+         "both orders on rho_n((-inf, x_n]) against the tightness verdict",
+         _cmd_converge_branches, family, _opt("--xs", required=True), horizon)
 
-    _leaf(top, "compactify", "push a family member onto [0, 1] through h",
-          _cmd_compactify, family, member_n)
-    theorem = group("theorem", "the end-to-end two-route pipeline")
-    _leaf(theorem, "verify", "per-n decomposition table plus both limit orders",
-          _cmd_theorem_verify, _opt("--n-max", type=int, default=12))
-    _leaf(top, "plotdata", "segment heights of the argmax law for plotting",
-          _cmd_plotdata, _opt("--n-max", type=int, default=3))
+    leaf("compactify", "push a family member onto [0, 1] through h",
+         _cmd_compactify, family, member_n)
+    group("theorem", "the end-to-end two-route pipeline")
+    leaf("theorem verify", "per-n decomposition table plus both limit orders",
+         _cmd_theorem_verify, _opt("--n-max", type=int, default=12))
+    leaf("plotdata", "segment heights of the argmax law for plotting",
+         _cmd_plotdata, _opt("--n-max", type=int, default=3))
+    named = [entry for entry in leaves
+             if argv is not None and list(argv[:len(entry[1])]) == entry[1]]
+    for sub, _, options in named or leaves:
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -436,7 +451,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if argv[i - 1] in ("--x", "--xs") and re.match(r"-[\d.]", argv[i]):
             argv[i - 1:i + 1] = [f"--xs={argv[i]}"]
     try:  # parse_rational refuses a huge exponent as a domain error, not a usage error
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         _emit(args.handler(args), args.format, args.out)
     except LimitGapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EventParseError, IndexOutOfRangeError
+from .measure_core import _Record
 
 _CMP_FUNCS = {
     "==": operator.eq,
@@ -46,56 +46,44 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class Lit(_Record):
+    __slots__ = ("value",)  # an int
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # "Y", "Z", or "N"
+class Var(_Record):
+    __slots__ = ("name",)  # "Y", "Z", or "N"
 
 
-@dataclass(frozen=True)
-class Coord:
-    index: int | None  # X[index], or X[N] when None
+class Coord(_Record):
+    __slots__ = ("index",)  # X[index], or X[N] when None
 
 
 Term = Lit | Var | Coord
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    lhs: Term
-    rhs: Term
+class Cmp(_Record):
+    __slots__ = ("op", "lhs", "rhs")  # an operator of _CMP_FUNCS between two Terms
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Node"
+class Not(_Record):
+    __slots__ = ("operand",)  # a Node
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "Node"
-    rhs: "Node"
+class And(_Record):
+    __slots__ = ("lhs", "rhs")  # two Nodes
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Node"
-    rhs: "Node"
+class Or(_Record):
+    __slots__ = ("lhs", "rhs")  # two Nodes
 
 
 Node = Cmp | Not | And | Or
 
 
-@dataclass(frozen=True)
-class EventPredicate:
+class EventPredicate(_Record):
     """A parsed event expression; compile_event evaluates it, and eval_event wraps that."""
 
-    root: Node
+    __slots__ = ("root",)  # a Node
 
     def max_coord_index(self) -> int:
         """Largest literal index used in any X[i]; 0 if none (X[N] adapts)."""
@@ -114,12 +102,9 @@ def _max_index(node: Node) -> int:
     return max(_max_index(node.lhs), _max_index(node.rhs))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "name", "cmp", "&&", "||", "!", "(", ")", "[", "]", "eof"
-    text: str
-    line: int
-    col: int
+class _Token(_Record):
+    # kind: "int", "name", "cmp", "&&", "||", "!", "(", ")", "[", "]" or "eof"
+    __slots__ = ("kind", "text", "line", "col")
 
 
 def _tokenize(src: str) -> list[_Token]:

@@ -15,21 +15,42 @@ points of [0, 1] even when double precision cannot separate them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .errors import DomainError
-from .measure_core import NEG_INF, POS_INF, DiscreteMeasure, ExtReal, finite
+from .measure_core import NEG_INF, POS_INF, DiscreteMeasure, ExtReal, _Record, finite
 
 
-@dataclass(frozen=True, order=True)
-class UnitReal:
+_set = object.__setattr__  # one global lookup per field: h builds a UnitReal per atom
+
+
+def _compare(op: Callable[[tuple, tuple], bool]) -> Callable[[Any, object], Any]:
+    """`op` on two UnitReals' (value, preimage) pairs; NotImplemented for any other type."""
+    def compare(self: UnitReal, other: object) -> Any:
+        if other.__class__ is self.__class__:
+            return op((self.value, self.preimage), (other.value, other.preimage))
+        return NotImplemented
+    return compare
+
+
+class UnitReal(_Record):
     """A point of [0, 1] in the image of h, tagged with its preimage."""
 
-    value: float
-    exact: bool = field(compare=False)
-    preimage: ExtReal
+    __slots__ = ("value", "exact", "preimage")
+
+    def __init__(self, value: float, exact: bool, preimage: ExtReal) -> None:
+        _set(self, "value", value)
+        _set(self, "exact", exact)
+        _set(self, "preimage", preimage)
+
+    # The compares of a dataclass with order=True whose `exact` has compare=False.
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _compare, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.preimage))
 
     def __str__(self) -> str:
         return f"{self.value:.17g}"

@@ -3,46 +3,40 @@
 `verify_process_identities` recomputes Y_n and Z_n from an explicit bit
 tuple for each of the 2**n outcomes, so it is also an oracle for the integer
 encoding in `process_lab`.  The package root loads this module on first use
-of one of its names, and `process identities` imports it, with `dataclasses`,
-when it runs.
+of one of its names, and `process identities` imports it when it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
 from typing import Any
 
-from .measure_core import _value_json
+from .measure_core import _Record, _value_json
 from .process_lab import FAIR, _checked, _popcount_probs, _weighted
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """Outcome-by-outcome verification of the process identities at horizon n.
 
     Checks Z_n <= n, X_{Z_n} = Y_n, and the event identity
     {X_n = 0, Z_n < n} = {Z_n < n} on every outcome, and reports the exact
-    probability of both sides of the latter.
+    probability of both sides of the latter.  `all_hold` is derived from the
+    three checks, so the constructor takes the other eight fields.
     """
 
-    n: int
-    rows_checked: int
-    z_in_range: bool
-    argmax_attains_max: bool
-    set_identity: bool
-    all_hold: bool = field(init=False)
-    violations: tuple[str, ...]
-    p_last_zero_and_z_below: Fraction
-    p_z_below: Fraction
+    __slots__ = ("n", "rows_checked", "z_in_range", "argmax_attains_max", "set_identity",
+                 "all_hold", "violations", "p_last_zero_and_z_below", "p_z_below")
 
-    def __post_init__(self) -> None:
-        all_hold = self.z_in_range and self.argmax_attains_max and self.set_identity
-        object.__setattr__(self, "all_hold", all_hold)
+    def __init__(self, n: int, rows_checked: int, z_in_range: bool, argmax_attains_max: bool,
+                 set_identity: bool, violations: tuple[str, ...],
+                 p_last_zero_and_z_below: Fraction, p_z_below: Fraction) -> None:
+        all_hold = z_in_range and argmax_attains_max and set_identity
+        super().__init__(n, rows_checked, z_in_range, argmax_attains_max, set_identity,
+                         all_hold, violations, p_last_zero_and_z_below, p_z_below)
 
     def to_dict(self) -> dict[str, Any]:
-        return {f.name: _value_json(getattr(self, f.name)) for f in fields(self)}
+        return {key: _value_json(value) for key, value in zip(self.__slots__, self._values())}
 
 
 def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:

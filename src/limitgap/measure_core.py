@@ -59,11 +59,22 @@ def parse_rational(text: str) -> Fraction:
 class _Record:
     """An immutable slotted record, read field by field in `__slots__` order.
 
-    Equality (within one class), hash, repr and pickling match a frozen
-    dataclass's; any assignment or deletion raises AttributeError.
+    The constructor, equality (within one class), hash, repr and pickling
+    match a frozen dataclass's; any assignment or deletion raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        """Take each field once, by position or keyword, in `__slots__` order."""
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields "
+                            f"{', '.join(names)} once each, got {len(args)} by position "
+                            f"and {', '.join(kwargs) or 'none'} by keyword")
+        for name in names:
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -458,15 +469,6 @@ class AdditivityReport(_Record):
     """
 
     __slots__ = ("mass_a", "mass_b", "mass_union", "mass_sum", "disjoint", "eligible")
-
-    def __init__(self, mass_a: Fraction, mass_b: Fraction, mass_union: Fraction,
-                 mass_sum: Fraction, disjoint: bool, eligible: bool) -> None:
-        object.__setattr__(self, "mass_a", mass_a)
-        object.__setattr__(self, "mass_b", mass_b)
-        object.__setattr__(self, "mass_union", mass_union)
-        object.__setattr__(self, "mass_sum", mass_sum)
-        object.__setattr__(self, "disjoint", disjoint)
-        object.__setattr__(self, "eligible", eligible)
 
     def to_dict(self) -> dict[str, Any]:
         return {key: _value_json(value) for key, value in zip(self.__slots__, self._values())}

@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 46 below take 1-2 min on a 2-core host.
+start-up plus its tests, and the 49 below take 1-2 min on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -198,8 +198,9 @@ MUTANTS = (
            'finite, "decreasing", "", "-1/n")',
            (CONVERGENCE + "test_each_sequence_kind_follows_its_closed_form[approach_below]",)),
     Mutant("UnitReal compares its exact flag", "extended_line.py",
-           "exact: bool = field(compare=False)",
-           "exact: bool = field()",
+           "return op((self.value, self.preimage), (other.value, other.preimage))",
+           "return op((self.value, self.exact, self.preimage),"
+           " (other.value, other.exact, other.preimage))",
            ("tests/test_extended_line.py::"
             "test_unit_real_equality_order_and_hash_follow_the_preimage",)),
     Mutant("theorem enumerates only n <= 4", "convergence_lab.py",
@@ -248,6 +249,19 @@ MUTANTS = (
            "        return str(value)\n    if isinstance(value, float):",
            (CLI + "test_reports_print_the_pinned_bytes[measure additivity --family "
                   "@{dir}/settling.json --n 3 --set-a @{dir}/half_open.json --set-b I=1/2-json]",)),
+    Mutant("options go to every leaf but the one argv names", "cli.py",
+           "for sub, _, options in named or leaves:",
+           "for sub, _, options in [e for e in leaves if e not in named] or leaves:",
+           (CLI + "test_parser_help_and_usage_errors_are_pinned[measure show]",)),
+    Mutant("an argv that names no leaf gives no leaf its options", "cli.py",
+           "for sub, _, options in named or leaves:",
+           "for sub, _, options in named if argv is not None else leaves:",
+           (CLI + "test_a_parser_built_for_its_argv_acts_as_the_full_parser[measure show]",)),
+    Mutant("the generic record constructor fills fields in reverse", "measure_core.py",
+           "values = dict(zip(names, args), **kwargs)",
+           "values = dict(zip(names[::-1], args), **kwargs)",
+           (EVENT + "test_round_trip_holds_for_random_trees",
+            CLI + "test_reports_print_the_pinned_bytes[process identities --n 6 --p 1/3-json]")),
     Mutant("_checked ignores the cap", "process_lab.py",
            "if cap is not None and n > cap:",
            "if False:",

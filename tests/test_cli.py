@@ -20,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limitgap import cli
 from limitgap.cli import (
     ENUM_MAX_N, MEMBER_MAX_N, PLOT_MAX_N, _emit, _family_arg, _key_value_rows, _Output,
     _rows_table, _set_family_arg, build_parser, main,
 )
+from limitgap.errors import LimitGapError
 from limitgap.measure_core import measure_from_dict, rat_str, set_from_dict
 from limitgap.process_lab import iter_outcomes, mu_closed_form
 
@@ -1349,3 +1351,69 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, argv):
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 1:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+# Each subcommand's options, and the values each is tried with: the first is valid.
+SIZES = ["4", "-1", "x"]
+EQUIVALENCE_OPTIONS = {
+    "measure show": {"--family": FUZZ_FAMILIES, "--n": SIZES},
+    "measure additivity": {"--family": FUZZ_FAMILIES, "--set-a": FUZZ_SET, "--set-b": FUZZ_SET},
+    "process enumerate": {"--n": SIZES, "--p": FUZZ_RATIONALS},
+    "process prob": {"--n": SIZES, "--event": FUZZ_EVENTS, "--p": FUZZ_RATIONALS},
+    "process identities": {"--n": SIZES, "--p": FUZZ_RATIONALS},
+    "process escape": {"--n": SIZES, "--k-max": SIZES},
+    "converge tightness": {"--family": FUZZ_FAMILIES, "--epsilon": FUZZ_RATIONALS,
+                           "--horizon": SIZES},
+    "converge limit": {"--family": FUZZ_FAMILIES, "--sets": FUZZ_SETS,
+                       "--order": ["a", "b", "c"], "--horizon": SIZES},
+    "converge weaklimit": {"--family": FUZZ_FAMILIES, "--horizon": SIZES},
+    "converge testfn": {"--family": FUZZ_FAMILIES, "--fn": ["atan", "sin", "h", "cos"],
+                        "--horizon": SIZES},
+    "converge branches": {"--family": FUZZ_FAMILIES, "--xs": FUZZ_XS, "--horizon": SIZES},
+    "compactify": {"--family": FUZZ_FAMILIES, "--n": SIZES},
+    "theorem verify": {"--n-max": SIZES},
+    "plotdata": {"--n-max": SIZES},
+}
+
+
+def _equivalence_argvs(command):
+    """The command with every option at its first value but one, which takes each value.
+
+    Also each format, an unknown flag, the last option left out, an unknown
+    flag before the subcommand's name, and the option argparse reads as two.
+    """
+    options = EQUIVALENCE_OPTIONS[command]
+    words = command.split()
+    base = {flag: values[0] for flag, values in options.items()}
+    argvs = []
+    for varied, values in [*options.items(), ("--format", ["table", "json", "csv", "xml"])]:
+        for value in values:
+            chosen = {**base, varied: value}
+            argvs.append([*words, *(arg for item in chosen.items() for arg in item)])
+    first = argvs[0]
+    argvs += [[*first, "--bogus"], first[:-2], [words[0], "--bogus", *first[1:]]]
+    if command == "converge branches":
+        argvs += [[*first, "--xs", "-1/2+1/n"], [*first, "--x", "-3-1/n"]]
+    return argvs
+
+
+@pytest.mark.parametrize("command", [*EQUIVALENCE_OPTIONS, "prefixes"])
+def test_a_parser_built_for_its_argv_acts_as_the_full_parser(monkeypatch, fuzz_dir, command):
+    # Only the subcommand that argv names gets its options, so every other
+    # one's help, usage and errors must not change, nor any parse.
+    monkeypatch.setenv("COLUMNS", "80")
+    if command == "prefixes":
+        argvs = [[*prefix.split(), *tail] for prefix in PARSER_DIGESTS
+                 for tail in (["--help"], ["--bogus"], [])]
+    else:
+        argvs = [[a.format(dir=fuzz_dir) for a in argv] for argv in _equivalence_argvs(command)]
+    narrowed = [_run_catching_exit(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build_parser())
+    for argv, seen in zip(argvs, narrowed):
+        assert seen == _run_catching_exit(argv), argv
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                full = build_parser().parse_args(argv)
+        except (SystemExit, LimitGapError):  # a usage error, or a rational too long to read
+            continue
+        assert build_parser(argv).parse_args(argv) == full, argv

@@ -112,6 +112,28 @@ def test_each_record_keeps_its_dataclass_behaviour(cls, args, first, text):
         assert type(c) is cls and c == a and hash(c) == hash(a) and repr(c) == text
 
 
+_REPORT_FIELDS = (F(1), F(2), F(3), F(3), True, False)
+
+
+def test_the_record_constructor_takes_fields_by_position_or_keyword():
+    by_name = dict(zip(AdditivityReport.__slots__, _REPORT_FIELDS))
+    report = AdditivityReport(*_REPORT_FIELDS)
+    assert report == AdditivityReport(**by_name) == AdditivityReport(F(1), F(2), **{
+        name: by_name[name] for name in AdditivityReport.__slots__[2:]})
+    assert report._values() == _REPORT_FIELDS
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (_REPORT_FIELDS[:5], {}),
+    ((*_REPORT_FIELDS, True), {}),
+    (_REPORT_FIELDS, {"mass_a": F(1)}),
+    (_REPORT_FIELDS[:5], {"mass_c": F(1)}),
+], ids=["missing", "one-too-many", "twice", "unknown"])
+def test_the_record_constructor_takes_each_field_once(args, kwargs):
+    with pytest.raises(TypeError, match=r"AdditivityReport\(\) takes the fields mass_a, "):
+        AdditivityReport(*args, **kwargs)
+
+
 def test_a_point_equals_and_orders_only_points():
     assert finite(1) != (0, 1) and (0, F(1)) != finite(1)
     for compare in (operator.lt, operator.le, operator.gt, operator.ge):

@@ -3,12 +3,13 @@
 Three types also keep their field names, and every frozen type refuses a
 write with AttributeError.  The family model, the limit machinery, the
 extended line, the event language and the identity oracle are loaded on first
-use, as is `dataclasses`: a command leaves unloaded each module it does not
-run, and a package generation left behind by a re-import still answers as a
-fresh one does.
+use, and `dataclasses` with the limit machinery alone: a command leaves
+unloaded each module it does not run, and a package generation left behind by
+a re-import still answers as a fresh one does.
 """
 
 import importlib
+import inspect
 import json
 import os
 import pickle
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import limitgap
+from limitgap.measure_core import _Record
 
 SRC = str(Path(limitgap.__file__).resolve().parents[1])
 
@@ -76,8 +78,9 @@ def test_an_unknown_attribute_raises_attribute_error():
 
 
 def test_sequence_unit_real_and_identity_report_keep_their_fields():
-    names = {cls: [f.name for f in fields(cls)]
-             for cls in (limitgap.RealSequence, limitgap.UnitReal, limitgap.IdentityReport)}
+    # RealSequence is a dataclass; UnitReal and IdentityReport are records.
+    names = {limitgap.RealSequence: [f.name for f in fields(limitgap.RealSequence)],
+             **{cls: list(cls.__slots__) for cls in (limitgap.UnitReal, limitgap.IdentityReport)}}
     assert names == {
         limitgap.RealSequence: ["kind", "q"],
         limitgap.UnitReal: ["value", "exact", "preimage"],
@@ -87,7 +90,8 @@ def test_sequence_unit_real_and_identity_report_keep_their_fields():
         ],
     }
     # all_hold is derived, so the constructor takes the other eight fields
-    assert [f.name for f in fields(limitgap.IdentityReport) if not f.init] == ["all_hold"]
+    taken = list(inspect.signature(limitgap.IdentityReport).parameters)
+    assert taken == [name for name in names[limitgap.IdentityReport] if name != "all_hold"]
 
 
 def _frozen_instances() -> dict[str, object]:
@@ -118,8 +122,8 @@ def _frozen_instances() -> dict[str, object]:
     while nodes:
         node = nodes.pop()
         made.setdefault(type(node).__name__, node)
-        nodes.extend(child for f in fields(node)
-                     if is_dataclass(child := getattr(node, f.name)))
+        nodes.extend(child for name in node.__slots__
+                     if isinstance(child := getattr(node, name), _Record))
     return made
 
 
@@ -166,9 +170,8 @@ def _python(*args: str) -> str:
     return done.stdout
 
 
-# dataclasses, and the inspect module it imports, load only with a module that
-# declares dataclasses: the limit machinery, the extended line, the event
-# language or the identity oracle.
+# dataclasses, and the inspect module it imports, load only with the one module
+# that declares dataclasses, the limit machinery.
 _DATACLASSES = ["dataclasses", "inspect"]
 
 
@@ -176,17 +179,20 @@ _DATACLASSES = ["dataclasses", "inspect"]
     ([], []),
     (["converge", "limit", "--family", "mu", "--sets", "I(n-1)", "--order", "a"],
      ["limitgap.convergence_lab", *_DATACLASSES]),
+    (["converge", "branches", "--family", "mu", "--xs", "n-1"],
+     ["limitgap.convergence_lab", *_DATACLASSES]),
+    (["theorem", "verify", "--n-max", "4"],
+     ["limitgap.convergence_lab", "limitgap.event_dsl", *_DATACLASSES]),
     (["measure", "show", "--family", "@{table}"], []),
     (["measure", "show", "--family", "mu", "--n", "3", "--format", "csv"], ["csv"]),
-    (["compactify", "--family", "@{table}"], ["limitgap.extended_line", *_DATACLASSES]),
-    (["process", "prob", "--n", "4", "--event", "X[N]==0 && Z<N"],
-     ["limitgap.event_dsl", *_DATACLASSES]),
-    (["process", "identities", "--n", "4"], ["limitgap.identities", *_DATACLASSES]),
+    (["compactify", "--family", "@{table}"], ["limitgap.extended_line"]),
+    (["process", "prob", "--n", "4", "--event", "X[N]==0 && Z<N"], ["limitgap.event_dsl"]),
+    (["process", "identities", "--n", "4"], ["limitgap.identities"]),
     (["process", "enumerate", "--n", "3"], ["limitgap.cli_streams"]),
     (["plotdata", "--n-max", "3"], ["limitgap.cli_streams"]),
-], ids=["import-only", "converge-limit", "measure-show-table", "measure-show-csv",
-        "compactify-table", "process-prob", "process-identities", "process-enumerate",
-        "plotdata"])
+], ids=["import-only", "converge-limit", "converge-branches", "theorem-verify",
+        "measure-show-table", "measure-show-csv", "compactify-table", "process-prob",
+        "process-identities", "process-enumerate", "plotdata"])
 def test_only_a_command_that_reads_an_event_loads_the_event_language(tmp_path, argv, loads):
     """Nor does any command load another module of _DEFERRED that it does not run."""
     table = tmp_path / "table.json"

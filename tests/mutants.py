@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 49 below take 1-2 min on a 2-core host.
+start-up plus its tests, and the 51 below take 1-2 min on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -76,7 +76,7 @@ MUTANTS = (
            (CONVERGENCE + "test_order_b_scan_is_clipped_to_the_table",)),
     Mutant("branch_check grades order (b) against the wrong report", "convergence_lab.py",
            "_order_b(fam, sets, horizon, lambda: order_a)",
-           "_order_b(fam, sets, horizon, lambda: _order_a(_BUILTIN_LIMITS['mu'], sets, horizon))",
+           "_order_b(fam, sets, horizon, lambda: _order_a(_BUILTINS['mu'].limit, sets, horizon))",
            (CONVERGENCE + "test_branch_check_reports_what_the_standalone_orders_report[lambda-n-1]",)),
     Mutant("csv itemgetter reversed", "cli.py",
            "map(operator.itemgetter(*header), rows)",
@@ -220,10 +220,18 @@ MUTANTS = (
            "Fraction(j > n)",
            (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
     Mutant("lambda's weak limit is the point mass at 0", "families.py",
-           '"lambda": lambda_measure(),',
-           '"lambda": dirac(finite(0)),',
+           "limit=lambda_measure(),",
+           "limit=dirac(finite(0)),",
            (CONVERGENCE + "test_a_builtin_weak_limit_is_one_object_that_no_query_rebuilds"
                           "[lambda-64]",)),
+    Mutant("every builtin's member read from the mu row", "families.py",
+           "_BUILTINS[self.kind].member(n)",
+           "_BUILTINS['mu'].member(n)",
+           (CONVERGENCE + "test_builtin_members",)),
+    Mutant("every builtin's tightness read from the lambda row", "convergence_lab.py",
+           "_BUILTINS[fam.kind].tightness(epsilon)",
+           "_BUILTINS['lambda'].tightness(epsilon)",
+           (CONVERGENCE + "test_moving_point_mass_family_is_not_tight",)),
     Mutant("identities take the first index attaining the max", "identities.py",
            "z = n - bits[::-1].index(y)",
            "z = bits.index(y) + 1",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitgap import convergence_lab
+from limitgap import convergence_lab, families
 from limitgap.convergence_lab import (
     _TAIL,
     _WINDOW,
@@ -459,9 +459,14 @@ def test_a_mass_extrapolated_below_zero_is_refused():
 
 
 def test_builtin_weak_limits_conserve_mass():
-    for name in ("mu", "lambda", "dirac_n"):
+    # A family that converges weakly on R-bar is tight on R exactly when its
+    # limit leaves no mass at the infinities.
+    for name, row in families._BUILTINS.items():
         limit = weak_limit_identify(builtin_family(name), 32)
-        assert limit.total == 1
+        assert limit is row.limit and limit.total == 1
+        escaped = limit.mass_at(NEG_INF) + limit.mass_at(POS_INF)
+        for eps in (F(1, 100), HALF, F(99, 100)):
+            assert tightness_probe(builtin_family(name), eps, 32).tight is (escaped == 0), name
 
 
 # --- test-function integrals ---
@@ -804,7 +809,7 @@ def test_every_lambda_member_is_its_shared_weak_limit(monkeypatch):
 def _builtin_member_and_set(draw):
     """A builtin, an index n, and a set whose ends sit near 0 and n, built from
     pieces or by the raw constructor from unsorted, overlapping ones."""
-    kind = draw(st.sampled_from(["mu", "lambda", "dirac_n"]))
+    kind = draw(st.sampled_from(list(families._BUILTINS)))
     n = draw(st.integers(1, 40) | st.sampled_from([257, 1024]))
     near = st.integers(-3, 43) | st.integers(n - 3, n + 3)
     point = st.one_of(

@@ -11,9 +11,10 @@ imported.  The family model (`families`), the limit machinery
 (`convergence_lab`), the extended line (`extended_line`), the event language
 (`event_dsl`) and the identity oracle (`identities`) load on first use of one
 of their names, so a command that never reaches them does not pay to compile
-and run them.  Only the limit machinery declares dataclasses, so `dataclasses`
-(and the `inspect` it imports) loads only with it; every other value type is a
-plain slotted record on `measure_core`'s one record base.
+and run them.  Every value type is a plain slotted record on `measure_core`'s
+one record base, so no command loads `dataclasses` (or the `inspect` it
+imports).  The limit machinery's six types still answer `dataclasses.fields`,
+`replace` and `asdict`, building their fields on the first such call.
 `process_lab` stays eager, because a tracer wraps only the modules loaded
 before it starts.
 

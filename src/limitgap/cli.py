@@ -44,9 +44,9 @@ if TYPE_CHECKING:
     from .convergence_lab import SetFamily
     from .families import MeasureFamily
 
-# The limit machinery (the one module that loads dataclasses), the family
-# model, the extended line, the event language, the identity oracle and csv are
-# imported by the handlers that use them, so a command loads only what it runs.
+# The limit machinery, the family model, the extended line, the event language,
+# the identity oracle and csv are imported by the handlers that use them, so a
+# command loads only what it runs.
 # Each test function takes the extended line module, then a point.
 _TEST_FUNCTIONS: dict[str, Callable] = {
     "sin": lambda line, x: math.sin(line.saturating_float(x)),

@@ -14,9 +14,9 @@ stabilized subsequences; anything else is inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
+from importlib import import_module
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import (
@@ -36,6 +36,7 @@ from .measure_core import (
     ExtReal,
     Interval,
     MeasurableSet,
+    _Record,
     _value_json,
     finite,
     parse_rational,
@@ -53,13 +54,56 @@ from .process_lab import FAIR, _event_dsl, event_probability, mu_closed_form
 _WINDOW = 8
 _TAIL = _WINDOW + 1  # the most trailing terms analyze_rational_sequence reads
 
+_set = object.__setattr__  # one global lookup per field: every query builds a report
+
+
+# ---------------------------------------------------------------------------
+# records that answer as dataclasses
+
+
+class _Fields:
+    """A record class's `__dataclass_fields__`, built on first read and kept on the class.
+
+    The fields are those `dataclasses.make_dataclass` gives for `__slots__`,
+    with `__init__`'s annotations and defaults, so `dataclasses.fields`,
+    `replace` and `asdict` work as they did on the frozen dataclasses these
+    types were; a caller that never asks does not import `dataclasses`.
+    """
+
+    def __get__(self, instance: object, cls: type) -> dict[str, Any]:
+        dataclasses = import_module("dataclasses")  # here, so no module loads it when imported
+        init = cls.__init__
+        defaults = dict(zip(reversed(cls.__slots__), reversed(init.__defaults__ or ())))
+        spec = [(name, init.__annotations__[name],
+                 dataclasses.field(default=defaults.get(name, dataclasses.MISSING)))
+                for name in cls.__slots__]
+        made = dataclasses.make_dataclass(cls.__name__, spec).__dataclass_fields__
+        cls.__dataclass_fields__ = made  # in place of this descriptor
+        return made
+
+
+class _LimitRecord(_Record):
+    """A record that answers as a frozen dataclass: `dataclasses.is_dataclass`,
+    `fields`, `replace` and `asdict` work on it, and it matches by position.
+
+    Each subclass gives an `__init__` taking `__slots__` in order, with the
+    annotations and defaults of the dataclass field it stands for.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__dataclass_fields__ = _Fields()
+        cls.__match_args__ = cls.__slots__
+        # A dataclass's signature ends "-> None"; postponed annotations make it "-> 'None'".
+        cls.__init__.__annotations__["return"] = None
+
 
 # ---------------------------------------------------------------------------
 # exact limit detection for rational sequences
 
 
-@dataclass(frozen=True)
-class SequenceAnalysis:
+class SequenceAnalysis(_LimitRecord):
     """How a finite rational sequence settles, if it does.
 
     kind is "constant" (trailing window equal), "geometric" (trailing diffs
@@ -68,10 +112,14 @@ class SequenceAnalysis:
     or "inconclusive".
     """
 
-    kind: str
-    value: Fraction | None
-    witness: str
-    pair: tuple[Fraction, Fraction] | None = None
+    __slots__ = ("kind", "value", "witness", "pair")
+
+    def __init__(self, kind: str, value: Fraction | None, witness: str,
+                 pair: tuple[Fraction, Fraction] | None = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "value", value)
+        _set(self, "witness", witness)
+        _set(self, "pair", pair)
 
 
 def analyze_rational_sequence(
@@ -186,8 +234,7 @@ _SEQUENCE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class RealSequence:
+class RealSequence(_LimitRecord):
     """A monotone rational sequence x_n in one of four closed forms.
 
     kind "affine": x_n = n + q (increasing to +inf); "approach_above":
@@ -195,14 +242,13 @@ class RealSequence:
     (increasing to q); "const": x_n = q.
     """
 
-    kind: str
-    q: Fraction
+    __slots__ = ("kind", "q")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _SEQUENCE_KINDS:
-            raise DomainError(
-                f"unknown sequence kind {self.kind!r}; use {', '.join(_SEQUENCE_KINDS)}"
-            )
+    def __init__(self, kind: str, q: Fraction) -> None:
+        if kind not in _SEQUENCE_KINDS:
+            raise DomainError(f"unknown sequence kind {kind!r}; use {', '.join(_SEQUENCE_KINDS)}")
+        _set(self, "kind", kind)
+        _set(self, "q", q)
 
     def value(self, n: int) -> Fraction:
         return _SEQUENCE_KINDS[self.kind].value(n, self.q)
@@ -240,8 +286,7 @@ def parse_sequence_spec(text: str) -> RealSequence:
         ) from None
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_LimitRecord):
     """An indexed sequence n -> measurable set with a declared limit notion.
 
     Limits exist only for constant, monotone-increasing (limit = union), and
@@ -249,12 +294,14 @@ class SetFamily:
     be eventually constant.
     """
 
-    kind: str  # "ray_seq", "singleton", or "table"
-    seq: RealSequence | None = None
-    point: ExtReal | None = None
-    table: tuple[MeasurableSet, ...] | None = None
+    __slots__ = ("kind", "seq", "point", "table")  # kind: "ray_seq", "singleton", or "table"
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, seq: RealSequence | None = None, point: ExtReal | None = None,
+                 table: tuple[MeasurableSet, ...] | None = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "seq", seq)
+        _set(self, "point", point)
+        _set(self, "table", table)
         source = {"ray_seq": "seq", "singleton": "point", "table": "table"}
         if self.kind not in source:
             raise DomainError(f"unknown set family kind {self.kind!r}; use {', '.join(source)}")
@@ -321,8 +368,7 @@ def set_table_family(sets: Sequence[MeasurableSet]) -> SetFamily:
 # reports
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(_LimitRecord):
     """Result of one limit evaluation.
 
     value is an exact rational for the order evaluators, a float for test
@@ -333,14 +379,20 @@ class LimitReport:
     order-(b) number equals the order-(a) value for the same inputs.
     """
 
-    order: str
-    value: Fraction | float | str
-    horizon_used: int
-    witness: str
-    measure_tag: str | None = None
-    set_tag: str | None = None
-    eligible: bool | None = None
-    witness_pair: tuple[Any, Any] | None = None
+    __slots__ = ("order", "value", "horizon_used", "witness", "measure_tag", "set_tag",
+                 "eligible", "witness_pair")
+
+    def __init__(self, order: str, value: Fraction | float | str, horizon_used: int, witness: str,
+                 measure_tag: str | None = None, set_tag: str | None = None,
+                 eligible: bool | None = None, witness_pair: tuple[Any, Any] | None = None) -> None:
+        _set(self, "order", order)
+        _set(self, "value", value)
+        _set(self, "horizon_used", horizon_used)
+        _set(self, "witness", witness)
+        _set(self, "measure_tag", measure_tag)
+        _set(self, "set_tag", set_tag)
+        _set(self, "eligible", eligible)
+        _set(self, "witness_pair", witness_pair)
 
     # Keys by hand: REPORT_DIGESTS pins an order unlike the fields', which the constructor fixes.
     def to_dict(self) -> dict[str, Any]:
@@ -359,14 +411,17 @@ class LimitReport:
         return data
 
 
-@dataclass(frozen=True)
-class TightnessVerdict:
+class TightnessVerdict(_LimitRecord):
     """Whether one interval can hold all but epsilon of every member's mass."""
 
-    tight: bool | str  # True, False, or "inconclusive"
-    epsilon: Fraction
-    witness: str
-    interval: MeasurableSet | None = None
+    __slots__ = ("tight", "epsilon", "witness", "interval")  # tight: True, False, or "inconclusive"
+
+    def __init__(self, tight: bool | str, epsilon: Fraction, witness: str,
+                 interval: MeasurableSet | None = None) -> None:
+        _set(self, "tight", tight)
+        _set(self, "epsilon", epsilon)
+        _set(self, "witness", witness)
+        _set(self, "interval", interval)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -643,8 +698,7 @@ def order_b_limit(
 # the Lemma-style three-way check
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(_LimitRecord):
     """Both evaluation orders on rho_n(I(x_n)), against the tightness verdict.
 
     branch "a" covers x_n -> x finite (equality of the orders is predicted
@@ -654,18 +708,25 @@ class BranchReport:
     order-(a) value of 1 - rho({+inf}) with the order-(b) number ineligible.
     """
 
-    branch: str
-    xs: str
-    order_a: LimitReport
-    order_b: LimitReport
-    tightness: TightnessVerdict
-    predicted: str
-    holds: bool | None
-    continuity_mass: Fraction | None = None
-    infinity_mass: Fraction | None = None
+    __slots__ = ("branch", "xs", "order_a", "order_b", "tightness", "predicted", "holds",
+                 "continuity_mass", "infinity_mass")
+
+    def __init__(self, branch: str, xs: str, order_a: LimitReport, order_b: LimitReport,
+                 tightness: TightnessVerdict, predicted: str, holds: bool | None,
+                 continuity_mass: Fraction | None = None,
+                 infinity_mass: Fraction | None = None) -> None:
+        _set(self, "branch", branch)
+        _set(self, "xs", xs)
+        _set(self, "order_a", order_a)
+        _set(self, "order_b", order_b)
+        _set(self, "tightness", tightness)
+        _set(self, "predicted", predicted)
+        _set(self, "holds", holds)
+        _set(self, "continuity_mass", continuity_mass)
+        _set(self, "infinity_mass", infinity_mass)
 
     def to_dict(self) -> dict[str, Any]:
-        return {f.name: _value_json(getattr(self, f.name)) for f in fields(self)}
+        return {key: _value_json(value) for key, value in zip(self.__slots__, self._values())}
 
 
 def branch_check(

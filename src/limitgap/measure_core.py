@@ -100,7 +100,9 @@ class _Record:
     def __getstate__(self) -> tuple:
         return self._values()
 
-    def __setstate__(self, state: tuple) -> None:
+    def __setstate__(self, state: tuple | dict[str, Any]) -> None:
+        if isinstance(state, dict):  # pickled when the type was a dataclass: its __dict__
+            state = [state[name] for name in self.__slots__]
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
 

@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 51 below take 1-2 min on a 2-core host.
+start-up plus its tests, and the 54 below take 1-2 min on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -144,8 +144,8 @@ MUTANTS = (
            "horizon = horizon",
            (CONVERGENCE + "test_order_b_scan_is_clipped_to_the_table",)),
     Mutant("BranchReport keys in reversed field order", "convergence_lab.py",
-           "for f in fields(self)}",
-           "for f in reversed(fields(self))}",
+           "for key, value in zip(self.__slots__, self._values())}",
+           "for key, value in reversed([*zip(self.__slots__, self._values())])}",
            (CLI + "test_reports_print_the_pinned_bytes"
                   "[converge branches --family mu --xs n-1-json]",)),
     Mutant("measure file total not checked", "measure_core.py",
@@ -241,11 +241,21 @@ MUTANTS = (
            "replaced = False",
            ("tests/test_public_api.py::"
             "test_a_generation_left_behind_by_re_imports_answers_as_a_fresh_one[text]",)),
-    Mutant("RealSequence slotted again", "convergence_lab.py",
-           "@dataclass(frozen=True)\nclass RealSequence:",
-           "@dataclass(frozen=True, slots=True)\nclass RealSequence:",
+    Mutant("RealSequence takes writes again", "convergence_lab.py",
+           "class RealSequence(_LimitRecord):",
+           "class RealSequence(_LimitRecord):\n"
+           "    __setattr__, __delattr__ = object.__setattr__, object.__delattr__",
            ("tests/test_public_api.py::"
             "test_every_frozen_type_refuses_a_write_with_attribute_error[RealSequence]",)),
+    Mutant("LimitReport's eligible defaults to False", "convergence_lab.py",
+           "eligible: bool | None = None,",
+           "eligible: bool | None = False,",
+           (CLI + "test_reports_print_the_pinned_bytes"
+                  "[converge testfn --family lambda --fn sin --horizon 16-json]",)),
+    Mutant("the on-demand fields list the slots reversed", "convergence_lab.py",
+           "for name in cls.__slots__]",
+           "for name in reversed(cls.__slots__)]",
+           (CONVERGENCE + "test_each_limit_type_keeps_its_frozen_dataclass_shape[LimitReport]",)),
     Mutant("builtin_family loads the limit machinery", "__init__.py",
            "    _load(module)\n    return globals()[name]",
            '    if module == "families":\n        _load("convergence_lab")\n'
@@ -265,6 +275,11 @@ MUTANTS = (
            "for sub, _, options in named or leaves:",
            "for sub, _, options in named if argv is not None else leaves:",
            (CLI + "test_a_parser_built_for_its_argv_acts_as_the_full_parser[measure show]",)),
+    Mutant("a record reads a dataclass pickle's dict as its field values", "measure_core.py",
+           "if isinstance(state, dict):",
+           "if False:",
+           (CONVERGENCE + "test_a_limit_type_pickled_as_a_dataclass_loads_with_its_fields"
+                          "[protocol-4]",)),
     Mutant("the generic record constructor fills fields in reverse", "measure_core.py",
            "values = dict(zip(names, args), **kwargs)",
            "values = dict(zip(names[::-1], args), **kwargs)",

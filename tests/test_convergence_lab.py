@@ -1,6 +1,10 @@
 """Limit detection, tightness, weak limits, and the two evaluation orders."""
 
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -15,10 +19,13 @@ from limitgap.convergence_lab import (
     _WINDOW,
     _member_mass,
     _scan,
+    BranchReport,
     LimitReport,
     MeasureFamily,
     RealSequence,
+    SequenceAnalysis,
     SetFamily,
+    TightnessVerdict,
     analyze_rational_sequence,
     branch_check,
     builtin_family,
@@ -1009,3 +1016,161 @@ def test_theorem_checks_the_ray_mass_past_the_enumeration_rows(monkeypatch):
     with pytest.raises(RuntimeError, match="n=15"):
         verify_theorem(20)
     assert len(verify_theorem(14)["rows"]) == 13
+
+
+# --- the six limit types keep the shape they had as frozen dataclasses ---
+
+_UNIT = MeasurableSet.interval(finite(0), finite(1))
+_RAYS = RealSequence("affine", F(-1))
+_ORDER_A = LimitReport("a", F(0), 32, "wa", measure_tag="{+inf: 1/1}", set_tag="(-inf, +inf)")
+_ORDER_B = LimitReport("b", HALF, 32, "wb", eligible=False, witness_pair=(F(1), F(0)))
+_VERDICT = TightnessVerdict(True, HALF, "wt", interval=_UNIT)
+_ORDER_A_DICT = {"order": "a", "value": F(0), "horizon_used": 32, "witness": "wa",
+                 "measure_tag": "{+inf: 1/1}", "set_tag": "(-inf, +inf)", "eligible": None,
+                 "witness_pair": None}
+_ORDER_B_DICT = {"order": "b", "value": HALF, "horizon_used": 32, "witness": "wb",
+                 "measure_tag": None, "set_tag": None, "eligible": False,
+                 "witness_pair": (F(1), F(0))}
+_VERDICT_DICT = {"tight": True, "epsilon": HALF, "witness": "wt", "interval": _UNIT}
+_UNIT_REPR = ("MeasurableSet(intervals=(Interval(lo=ExtReal(tag=0, value=Fraction(0, 1)), "
+              "lo_closed=True, hi=ExtReal(tag=0, value=Fraction(1, 1)), hi_closed=True),), "
+              "points=())")
+_ORDER_A_REPR = ("LimitReport(order='a', value=Fraction(0, 1), horizon_used=32, witness='wa', "
+                 "measure_tag='{+inf: 1/1}', set_tag='(-inf, +inf)', eligible=None, "
+                 "witness_pair=None)")
+_ORDER_B_REPR = ("LimitReport(order='b', value=Fraction(1, 2), horizon_used=32, witness='wb', "
+                 "measure_tag=None, set_tag=None, eligible=False, "
+                 "witness_pair=(Fraction(1, 1), Fraction(0, 1)))")
+_VERDICT_REPR = (f"TightnessVerdict(tight=True, epsilon=Fraction(1, 2), witness='wt', "
+                 f"interval={_UNIT_REPR})")
+
+# Per type: one instance, its signature, repr and dataclasses.asdict, and one
+# field change for dataclasses.replace, as recorded when these were dataclasses.
+_SHAPES = {
+    "SequenceAnalysis": (
+        SequenceAnalysis("divergent", None, "ws", pair=(HALF, F(0))),
+        "(kind: 'str', value: 'Fraction | None', witness: 'str', "
+        "pair: 'tuple[Fraction, Fraction] | None' = None) -> None",
+        "SequenceAnalysis(kind='divergent', value=None, witness='ws', "
+        "pair=(Fraction(1, 2), Fraction(0, 1)))",
+        {"kind": "divergent", "value": None, "witness": "ws", "pair": (HALF, F(0))},
+        {"pair": None},
+    ),
+    "RealSequence": (
+        _RAYS,
+        "(kind: 'str', q: 'Fraction') -> None",
+        "RealSequence(kind='affine', q=Fraction(-1, 1))",
+        {"kind": "affine", "q": F(-1)},
+        {"kind": "const"},
+    ),
+    "SetFamily": (
+        SetFamily("ray_seq", seq=_RAYS),
+        "(kind: 'str', seq: 'RealSequence | None' = None, point: 'ExtReal | None' = None, "
+        "table: 'tuple[MeasurableSet, ...] | None' = None) -> None",
+        "SetFamily(kind='ray_seq', seq=RealSequence(kind='affine', q=Fraction(-1, 1)), "
+        "point=None, table=None)",
+        {"kind": "ray_seq", "seq": {"kind": "affine", "q": F(-1)}, "point": None, "table": None},
+        {"kind": "singleton", "seq": None, "point": POS_INF},
+    ),
+    "LimitReport": (
+        _ORDER_A,
+        "(order: 'str', value: 'Fraction | float | str', horizon_used: 'int', witness: 'str', "
+        "measure_tag: 'str | None' = None, set_tag: 'str | None' = None, "
+        "eligible: 'bool | None' = None, witness_pair: 'tuple[Any, Any] | None' = None) -> None",
+        _ORDER_A_REPR,
+        _ORDER_A_DICT,
+        {"value": HALF},
+    ),
+    "TightnessVerdict": (
+        _VERDICT,
+        "(tight: 'bool | str', epsilon: 'Fraction', witness: 'str', "
+        "interval: 'MeasurableSet | None' = None) -> None",
+        _VERDICT_REPR,
+        _VERDICT_DICT,
+        {"tight": "inconclusive", "interval": None},
+    ),
+    "BranchReport": (
+        BranchReport("b", "n-1", _ORDER_A, _ORDER_B, _VERDICT, "p", False, infinity_mass=F(1)),
+        "(branch: 'str', xs: 'str', order_a: 'LimitReport', order_b: 'LimitReport', "
+        "tightness: 'TightnessVerdict', predicted: 'str', holds: 'bool | None', "
+        "continuity_mass: 'Fraction | None' = None, "
+        "infinity_mass: 'Fraction | None' = None) -> None",
+        f"BranchReport(branch='b', xs='n-1', order_a={_ORDER_A_REPR}, order_b={_ORDER_B_REPR}, "
+        f"tightness={_VERDICT_REPR}, predicted='p', holds=False, continuity_mass=None, "
+        f"infinity_mass=Fraction(1, 1))",
+        {"branch": "b", "xs": "n-1", "order_a": _ORDER_A_DICT, "order_b": _ORDER_B_DICT,
+         "tightness": _VERDICT_DICT, "predicted": "p", "holds": False,
+         "continuity_mass": None, "infinity_mass": F(1)},
+        {"holds": None, "infinity_mass": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("value, signature, text, as_dict, change", _SHAPES.values(),
+                         ids=list(_SHAPES))
+def test_each_limit_type_keeps_its_frozen_dataclass_shape(value, signature, text, as_dict,
+                                                          change):
+    cls = type(value)
+    assert str(inspect.signature(cls)) == signature
+    params = inspect.signature(cls).parameters.values()
+    assert [(f.name, f.default, f.type) for f in dataclasses.fields(cls)] == [
+        (p.name, dataclasses.MISSING if p.default is p.empty else p.default, p.annotation)
+        for p in params]
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(value)
+    assert cls.__match_args__ == tuple(p.name for p in params)
+    assert repr(value) == text
+    names = cls.__match_args__
+    twin = cls(**{name: getattr(value, name) for name in names})
+    assert twin is not value and twin == value and not twin != value
+    assert hash(twin) == hash(value) == hash(tuple(getattr(value, name) for name in names))
+    assert value != cls(**{**{name: getattr(value, name) for name in names}, **change})
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{names[0]}'"):
+        setattr(value, names[0], getattr(value, names[0]))
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in (*copies, copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)):
+        assert type(c) is cls and c == value and hash(c) == hash(value) and repr(c) == text
+    changed = dataclasses.replace(value, **change)
+    assert {name: getattr(changed, name) for name in names} == {
+        **{name: getattr(value, name) for name in names}, **change}
+    assert dataclasses.asdict(value) == as_dict
+
+
+# A SequenceAnalysis("divergent", None, "w", pair=(1/2, 0)) as pickled when it
+# was a frozen dataclass, whose state was its __dict__: protocols 0 and 4.
+_DATACLASS_PICKLES = [
+    b"ccopy_reg\n_reconstructor\np0\n(climitgap.convergence_lab\nSequenceAnalysis\np1\n"
+    b"c__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVkind\np6\nVdivergent\np7\nsVvalue\np8\n"
+    b"NsVwitness\np9\nVw\np10\nsVpair\np11\n(cfractions\nFraction\np12\n(I1\nI2\ntp13\n"
+    b"Rp14\ng12\n(I0\nI1\ntp15\nRp16\ntp17\nsb.",
+    b"\x80\x04\x95\x97\x00\x00\x00\x00\x00\x00\x00\x8c\x18limitgap.convergence_lab\x94"
+    b"\x8c\x10SequenceAnalysis\x94\x93\x94)\x81\x94}\x94(\x8c\x04kind\x94\x8c\tdivergent"
+    b"\x94\x8c\x05value\x94N\x8c\x07witness\x94\x8c\x01w\x94\x8c\x04pair\x94\x8c\tfractions"
+    b"\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x02\x86\x94R\x94h\rK\x00K\x01\x86\x94R\x94"
+    b"\x86\x94ub.",
+]
+
+
+@pytest.mark.parametrize("data", _DATACLASS_PICKLES, ids=["protocol-0", "protocol-4"])
+def test_a_limit_type_pickled_as_a_dataclass_loads_with_its_fields(data):
+    assert pickle.loads(data) == SequenceAnalysis("divergent", None, "w", pair=(HALF, F(0)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RealSequence("bogus", F(1)),
+     "unknown sequence kind 'bogus'; use affine, approach_above, approach_below, const"),
+    (lambda: SetFamily("bogus"), "unknown set family kind 'bogus'; use ray_seq, singleton, table"),
+    (lambda: SetFamily("table", table=()), "explicit set list needs at least one set"),
+    (lambda: SetFamily("table"), "explicit set list needs at least one set"),
+    (lambda: SetFamily("singleton", point=POS_INF, table=(_UNIT,)),
+     "a singleton set family takes no table"),
+    (lambda: SetFamily("ray_seq"), "a ray_seq set family needs its seq"),
+    (lambda: SetFamily("singleton"), "a singleton set family needs its point"),
+    (lambda: dataclasses.replace(_RAYS, kind="bogus"),
+     "unknown sequence kind 'bogus'; use affine, approach_above, approach_below, const"),
+], ids=["sequence-kind", "set-kind", "empty-table", "no-table", "table-on-singleton", "no-seq",
+        "no-point", "replace"])
+def test_the_sequence_and_set_family_refuse_a_bad_shape_with_its_text(build, message):
+    with pytest.raises(DomainError) as caught:
+        build()
+    assert str(caught.value) == message

@@ -3,9 +3,9 @@
 Three types also keep their field names, and every frozen type refuses a
 write with AttributeError.  The family model, the limit machinery, the
 extended line, the event language and the identity oracle are loaded on first
-use, and `dataclasses` with the limit machinery alone: a command leaves
-unloaded each module it does not run, and a package generation left behind by
-a re-import still answers as a fresh one does.
+use, and no command loads `dataclasses`: a command leaves unloaded each module
+it does not run, and a package generation left behind by a re-import still
+answers as a fresh one does.
 """
 
 import importlib
@@ -15,7 +15,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,7 +78,7 @@ def test_an_unknown_attribute_raises_attribute_error():
 
 
 def test_sequence_unit_real_and_identity_report_keep_their_fields():
-    # RealSequence is a dataclass; UnitReal and IdentityReport are records.
+    # All three are records; RealSequence still answers dataclasses.fields.
     names = {limitgap.RealSequence: [f.name for f in fields(limitgap.RealSequence)],
              **{cls: list(cls.__slots__) for cls in (limitgap.UnitReal, limitgap.IdentityReport)}}
     assert names == {
@@ -136,7 +136,7 @@ def test_a_parsed_event_reaches_every_node_type():
 
 @pytest.mark.parametrize("value", _FROZEN.values(), ids=list(_FROZEN))
 def test_every_frozen_type_refuses_a_write_with_attribute_error(value):
-    first = fields(value)[0].name if is_dataclass(value) else value.__slots__[0]
+    first = value.__slots__[0]
     kept = getattr(value, first)
     with pytest.raises(AttributeError):
         setattr(value, first, kept)
@@ -149,6 +149,7 @@ def test_every_frozen_type_refuses_a_write_with_attribute_error(value):
 
 
 # Modules that `import limitgap.cli` leaves unloaded, for a command to load if it runs them.
+# No command loads dataclasses, or the inspect it imports: every value type is a record.
 _DEFERRED = ("limitgap.convergence_lab", "limitgap.extended_line", "limitgap.event_dsl",
              "limitgap.cli_streams", "limitgap.identities", "csv", "dataclasses", "inspect")
 
@@ -170,19 +171,17 @@ def _python(*args: str) -> str:
     return done.stdout
 
 
-# dataclasses, and the inspect module it imports, load only with the one module
-# that declares dataclasses, the limit machinery.
-_DATACLASSES = ["dataclasses", "inspect"]
-
-
 @pytest.mark.parametrize("argv, loads", [
     ([], []),
     (["converge", "limit", "--family", "mu", "--sets", "I(n-1)", "--order", "a"],
-     ["limitgap.convergence_lab", *_DATACLASSES]),
-    (["converge", "branches", "--family", "mu", "--xs", "n-1"],
-     ["limitgap.convergence_lab", *_DATACLASSES]),
-    (["theorem", "verify", "--n-max", "4"],
-     ["limitgap.convergence_lab", "limitgap.event_dsl", *_DATACLASSES]),
+     ["limitgap.convergence_lab"]),
+    (["converge", "branches", "--family", "mu", "--xs", "n-1"], ["limitgap.convergence_lab"]),
+    (["converge", "tightness", "--family", "mu", "--epsilon", "1/4"],
+     ["limitgap.convergence_lab"]),
+    (["converge", "weaklimit", "--family", "mu"], ["limitgap.convergence_lab"]),
+    (["converge", "testfn", "--family", "lambda", "--fn", "sin", "--horizon", "16"],
+     ["limitgap.convergence_lab", "limitgap.extended_line"]),
+    (["theorem", "verify", "--n-max", "4"], ["limitgap.convergence_lab", "limitgap.event_dsl"]),
     (["measure", "show", "--family", "@{table}"], []),
     (["measure", "show", "--family", "mu", "--n", "3", "--format", "csv"], ["csv"]),
     (["compactify", "--family", "@{table}"], ["limitgap.extended_line"]),
@@ -190,9 +189,10 @@ _DATACLASSES = ["dataclasses", "inspect"]
     (["process", "identities", "--n", "4"], ["limitgap.identities"]),
     (["process", "enumerate", "--n", "3"], ["limitgap.cli_streams"]),
     (["plotdata", "--n-max", "3"], ["limitgap.cli_streams"]),
-], ids=["import-only", "converge-limit", "converge-branches", "theorem-verify",
-        "measure-show-table", "measure-show-csv", "compactify-table", "process-prob",
-        "process-identities", "process-enumerate", "plotdata"])
+], ids=["import-only", "converge-limit", "converge-branches", "converge-tightness",
+        "converge-weaklimit", "converge-testfn", "theorem-verify", "measure-show-table",
+        "measure-show-csv", "compactify-table", "process-prob", "process-identities",
+        "process-enumerate", "plotdata"])
 def test_only_a_command_that_reads_an_event_loads_the_event_language(tmp_path, argv, loads):
     """Nor does any command load another module of _DEFERRED that it does not run."""
     table = tmp_path / "table.json"

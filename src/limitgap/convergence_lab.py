@@ -37,6 +37,7 @@ from .measure_core import (
     Interval,
     MeasurableSet,
     _Record,
+    _fields_json,
     _value_json,
     finite,
     parse_rational,
@@ -635,8 +636,8 @@ def _order_a(rho: DiscreteMeasure, sets: SetFamily, scan: int) -> LimitReport:
         value=rho.mass_of_set(alpha),
         horizon_used=scan,
         measure_tag=(rho_text := str(rho)),
-        set_tag=str(alpha),
-        witness=f"limit measure {rho_text} applied to limit set {alpha} "
+        set_tag=(alpha_text := str(alpha)),
+        witness=f"limit measure {rho_text} applied to limit set {alpha_text} "
         f"({notion} limit of {sets.describe()})",
     )
 
@@ -725,8 +726,7 @@ class BranchReport(_LimitRecord):
         _set(self, "continuity_mass", continuity_mass)
         _set(self, "infinity_mass", infinity_mass)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {key: _value_json(value) for key, value in zip(self.__slots__, self._values())}
+    to_dict = _fields_json
 
 
 def branch_check(

@@ -15,24 +15,14 @@ points of [0, 1] even when double precision cannot separate them.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from .errors import DomainError
-from .measure_core import NEG_INF, POS_INF, DiscreteMeasure, ExtReal, _Record, finite
+from .measure_core import NEG_INF, POS_INF, DiscreteMeasure, ExtReal, _Record, _ordered_by, finite
 
 
 _set = object.__setattr__  # one global lookup per field: h builds a UnitReal per atom
-
-
-def _compare(op: Callable[[tuple, tuple], bool]) -> Callable[[Any, object], Any]:
-    """`op` on two UnitReals' (value, preimage) pairs; NotImplemented for any other type."""
-    def compare(self: UnitReal, other: object) -> Any:
-        if other.__class__ is self.__class__:
-            return op((self.value, self.preimage), (other.value, other.preimage))
-        return NotImplemented
-    return compare
 
 
 class UnitReal(_Record):
@@ -45,12 +35,8 @@ class UnitReal(_Record):
         _set(self, "exact", exact)
         _set(self, "preimage", preimage)
 
-    # The compares of a dataclass with order=True whose `exact` has compare=False.
-    __eq__, __lt__, __le__, __gt__, __ge__ = map(
-        _compare, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.preimage))
+    # As a dataclass with order=True whose `exact` has compare=False.
+    __eq__, __hash__, __lt__, __le__, __gt__, __ge__ = _ordered_by("value", "preimage")
 
     def __str__(self) -> str:
         return f"{self.value:.17g}"
@@ -61,10 +47,8 @@ class UnitReal(_Record):
 
 def saturating_float(x: ExtReal) -> float:
     """float(x), sending magnitudes beyond the double range to +-inf."""
-    if x.tag < 0:
-        return -math.inf
-    if x.tag > 0:
-        return math.inf
+    if not x.is_finite:
+        return x.tag * math.inf
     try:
         return float(x.value)
     except OverflowError:
@@ -73,10 +57,8 @@ def saturating_float(x: ExtReal) -> float:
 
 def h(x: ExtReal) -> UnitReal:
     """Strictly increasing map of R-bar onto [0, 1]; endpoints are exact."""
-    if not x.is_finite:
-        if x.tag < 0:
-            return UnitReal(0.0, True, x)
-        return UnitReal(1.0, True, x)
+    if not x.is_finite:  # tag -1 or 1: h(-inf) = 0.0 and h(+inf) = 1.0
+        return UnitReal((x.tag + 1) / 2, True, x)
     value = 0.5 + math.atan(saturating_float(x)) / math.pi
     value = min(max(value, 0.0), 1.0)
     return UnitReal(value, x.value == 0, x)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Any
 
-from .measure_core import _Record, _value_json
+from .measure_core import _Record, _fields_json
 from .process_lab import FAIR, _checked, _popcount_probs, _weighted
 
 
@@ -35,8 +34,7 @@ class IdentityReport(_Record):
         super().__init__(n, rows_checked, z_in_range, argmax_attains_max, set_identity,
                          all_hold, violations, p_last_zero_and_z_below, p_z_below)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {key: _value_json(value) for key, value in zip(self.__slots__, self._values())}
+    to_dict = _fields_json
 
 
 def verify_process_identities(n: int, p: Fraction = FAIR) -> IdentityReport:

@@ -11,6 +11,7 @@ with set equality.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -38,6 +39,11 @@ def _value_json(value: Any) -> Any:
     if isinstance(value, float):
         return f"{value:.17g}"
     return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def _fields_json(record: _Record) -> dict[str, Any]:
+    """A report's dict: each field in `__slots__` order, through _value_json."""
+    return {key: _value_json(value) for key, value in zip(record.__slots__, record._values())}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -107,6 +113,25 @@ class _Record:
             object.__setattr__(self, name, value)
 
 
+def _ordered_by(*fields: str) -> tuple[Callable[..., Any], ...]:
+    """`__eq__`, `__hash__`, `__lt__`, `__le__`, `__gt__` and `__ge__` on the tuple of `fields`,
+    as a dataclass with order=True makes them: a compare with another class is NotImplemented."""
+    key = operator.attrgetter(*fields)
+
+    def compare(op: Callable[[tuple, tuple], bool]) -> Callable[[Any, object], Any]:
+        def method(self: Any, other: object) -> Any:
+            if other.__class__ is self.__class__:
+                return op(key(self), key(other))
+            return NotImplemented
+        return method
+
+    def hash_(self: Any) -> int:
+        return hash(key(self))
+
+    return (compare(operator.eq), hash_, compare(operator.lt), compare(operator.le),
+            compare(operator.gt), compare(operator.ge))
+
+
 class ExtReal(_Record):
     """A point of R-bar: -inf, a finite rational, or +inf.
 
@@ -130,34 +155,7 @@ class ExtReal(_Record):
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "value", value)
 
-    # The (tag, value) compares a dataclass with order=True would generate.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.tag, self.value) == (other.tag, other.value)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.tag, self.value))
-
-    def __lt__(self, other: ExtReal) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.tag, self.value) < (other.tag, other.value)
-        return NotImplemented
-
-    def __le__(self, other: ExtReal) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.tag, self.value) <= (other.tag, other.value)
-        return NotImplemented
-
-    def __gt__(self, other: ExtReal) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.tag, self.value) > (other.tag, other.value)
-        return NotImplemented
-
-    def __ge__(self, other: ExtReal) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.tag, self.value) >= (other.tag, other.value)
-        return NotImplemented
+    __eq__, __hash__, __lt__, __le__, __gt__, __ge__ = _ordered_by("tag", "value")
 
     @property
     def is_finite(self) -> bool:
@@ -169,9 +167,6 @@ class ExtReal(_Record):
         if self.tag == _POS:
             return "+inf"
         return rat_str(self.value)
-
-    def json_value(self) -> str:
-        return str(self)
 
 
 NEG_INF = ExtReal(_NEG)
@@ -472,8 +467,7 @@ class AdditivityReport(_Record):
 
     __slots__ = ("mass_a", "mass_b", "mass_union", "mass_sum", "disjoint", "eligible")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {key: _value_json(value) for key, value in zip(self.__slots__, self._values())}
+    to_dict = _fields_json
 
 
 def check_additivity(

@@ -17,7 +17,7 @@ run them).  The exit status is 0 only when every mutant is killed.  The
 working tree is never written.
 
 The tier-1 suite does not collect this module: each mutant costs one pytest
-start-up plus its tests, and the 54 below take 1-2 min on a 2-core host.
+start-up plus its tests, and those below take 1-2 min on a 2-core host.
 `tests/test_mutants.py` (collected) checks only that each mutant's old text
 is still in its file once and that its named tests are still defined.
 """
@@ -143,9 +143,9 @@ MUTANTS = (
            "horizon = min(horizon, len(table))",
            "horizon = horizon",
            (CONVERGENCE + "test_order_b_scan_is_clipped_to_the_table",)),
-    Mutant("BranchReport keys in reversed field order", "convergence_lab.py",
-           "for key, value in zip(self.__slots__, self._values())}",
-           "for key, value in reversed([*zip(self.__slots__, self._values())])}",
+    Mutant("report keys in reversed field order", "measure_core.py",
+           "for key, value in zip(record.__slots__, record._values())}",
+           "for key, value in reversed([*zip(record.__slots__, record._values())])}",
            (CLI + "test_reports_print_the_pinned_bytes"
                   "[converge branches --family mu --xs n-1-json]",)),
     Mutant("measure file total not checked", "measure_core.py",
@@ -173,10 +173,14 @@ MUTANTS = (
            """if isinstance(other, _Record):
             return self._values() == other._values()""",
            (MEASURE + "test_each_record_keeps_its_dataclass_behaviour[Interval]",)),
-    Mutant("ExtReal.__le__ is strict", "measure_core.py",
-           "return (self.tag, self.value) <= (other.tag, other.value)",
-           "return (self.tag, self.value) < (other.tag, other.value)",
+    Mutant("a point's __le__ is strict", "measure_core.py",
+           "compare(operator.le)",
+           "compare(operator.lt)",
            (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
+    Mutant("a point's __ge__ is built from gt", "measure_core.py",
+           "compare(operator.gt), compare(operator.ge))",
+           "compare(operator.gt), compare(operator.gt))",
+           (MEASURE + "test_point_operators_and_hash_follow_the_order_of_r_bar",)),
     Mutant("touching open ends merge", "measure_core.py",
            "if merged and piece._lower <= merged[-1]._upper:",
            "if merged and piece.lo <= merged[-1].hi:",
@@ -198,9 +202,8 @@ MUTANTS = (
            'finite, "decreasing", "", "-1/n")',
            (CONVERGENCE + "test_each_sequence_kind_follows_its_closed_form[approach_below]",)),
     Mutant("UnitReal compares its exact flag", "extended_line.py",
-           "return op((self.value, self.preimage), (other.value, other.preimage))",
-           "return op((self.value, self.exact, self.preimage),"
-           " (other.value, other.exact, other.preimage))",
+           '_ordered_by("value", "preimage")',
+           '_ordered_by("value", "exact", "preimage")',
            ("tests/test_extended_line.py::"
             "test_unit_real_equality_order_and_hash_follow_the_preimage",)),
     Mutant("theorem enumerates only n <= 4", "convergence_lab.py",

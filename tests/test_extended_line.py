@@ -1,10 +1,14 @@
 """The order embedding of R-bar into [0, 1] and its metric."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitgap.errors import DomainError
 from limitgap.extended_line import (
@@ -15,7 +19,8 @@ from limitgap.extended_line import (
     metric_d,
     saturating_float,
 )
-from limitgap.measure_core import NEG_INF, POS_INF, dirac, finite, from_mass_pairs
+from limitgap.measure_core import NEG_INF, POS_INF, dirac, finite, from_mass_pairs, parse_ext_real
+from test_measure_core import COMPARES, r_bar, spellings
 
 
 def test_endpoints_map_exactly():
@@ -152,6 +157,19 @@ def test_unit_real_equality_order_and_hash_follow_the_preimage():
             assert (h(x) <= h(y)) == (x <= y)
         assert hash(h(x)) == hash(h(finite(x.value) if x.is_finite else x))
     assert len({h(x) for x in points}) == len(set(points))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(texts=st.tuples(spellings(), spellings()))
+def test_unit_real_operators_and_hash_follow_the_value_then_the_preimage(texts):
+    u, v = (h(parse_ext_real(text)) for text in texts)
+    a, b = map(r_bar, texts)
+    for compare in COMPARES:
+        assert compare(u, v) is compare((u.value, a), (v.value, b)) is compare(a, b), texts
+    if a == b:
+        assert hash(u) == hash(v) and len({u, v}) == 1
+    for twin in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+        assert twin == u and hash(twin) == hash(u) and twin.exact == u.exact
 
 
 @pytest.mark.parametrize("other", [finite(1), 0.5])

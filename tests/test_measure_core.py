@@ -1,12 +1,15 @@
 """Exactness, normal forms, and additivity of the measure layer."""
 
 import copy
+import math
 import operator
 import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitgap.errors import LimitGapError, NegativeMassError, TotalExceedsOneError
 from limitgap.families import MeasureFamily
@@ -145,6 +148,34 @@ def test_equality_is_exact_rational_equality():
     assert finite(F(2, 4)) == finite("1/2")
     assert finite(1) != finite("1000000000000000001/1000000000000000000")
     assert POS_INF == POS_INF and POS_INF != NEG_INF
+    assert len({finite("1/2"), finite("2/4")}) == 1
+
+
+COMPARES = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def spellings():
+    """Texts of points of R-bar: the infinities, and rationals written unreduced, some
+    small enough that equal values come up spelled apart, some past the double range."""
+    numerators = st.integers(-3, 3) | st.sampled_from([10**400, 10**400 + 1, -(10**400)])
+    return st.sampled_from(["-inf", "+inf"]) | st.builds(
+        lambda n, d, k: f"{n * k}/{d * k}", numerators, st.integers(1, 4), st.integers(1, 3))
+
+
+def r_bar(text):
+    """A text's point as a Python number, whose order is R-bar's: -inf and inf
+    compare with every Fraction, however large, as the ends of the line."""
+    return {"-inf": -math.inf, "+inf": math.inf}.get(text) or F(text)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(texts=st.tuples(spellings(), spellings()))
+def test_point_operators_and_hash_follow_the_order_of_r_bar(texts):
+    (x, y), (a, b) = map(parse_ext_real, texts), map(r_bar, texts)
+    for compare in COMPARES:
+        assert compare(x, y) is compare(a, b), (compare, texts)
+    if a == b:
+        assert hash(x) == hash(y) and len({x, y}) == 1
 
 
 @pytest.mark.parametrize("text", ["-inf", "+inf", "0/1", "-7/3", "22/7"])

@@ -6,8 +6,10 @@ for a limiting probability — the limiting measure applied to the limiting
 set versus the limit of the per-n masses.  For tight families the orders
 agree; the built-in argmax family drives them exactly 1/2 apart.
 
-The package loads `errors`, `measure_core` and `process_lab` when it is
-imported.  The family model (`families`), the limit machinery
+One table, `_NAMES`, lists each module and the public names it brings;
+`__all__` is read from it.  The package loads `errors`, `measure_core` and
+`process_lab` when it is imported, through the same `_load` as the rest.
+The family model (`families`), the limit machinery
 (`convergence_lab`), the extended line (`extended_line`), the event language
 (`event_dsl`) and the identity oracle (`identities`) load on first use of one
 of their names, so a command that never reaches them does not pay to compile
@@ -28,61 +30,27 @@ import importlib
 import sys
 from types import ModuleType
 
-from .errors import (
-    BadEpsilonError,
-    BadRationalError,
-    BadSequenceSpecError,
-    DomainError,
-    EvaluationError,
-    EventParseError,
-    InconclusiveError,
-    IndexOutOfRangeError,
-    KRangeError,
-    LimitGapError,
-    NegativeMassError,
-    NoSetLimitError,
-    NoWeakLimitError,
-    NRangeError,
-    NTooLargeError,
-    TotalExceedsOneError,
-)
-from .measure_core import (
-    NEG_INF,
-    POS_INF,
-    AdditivityReport,
-    DiscreteMeasure,
-    ExtReal,
-    Interval,
-    MeasurableSet,
-    check_additivity,
-    dirac,
-    finite,
-    from_mass_pairs,
-    measure_from_dict,
-    measure_to_dict,
-    parse_ext_real,
-    parse_rational,
-    rat_str,
-    set_from_dict,
-    set_to_dict,
-)
-from .process_lab import (
-    FAIR,
-    Outcome,
-    ProcessRow,
-    enumerate_outcomes,
-    escaped_mass_profile,
-    event_probability,
-    iter_outcomes,
-    lambda_measure,
-    mu_closed_form,
-    z_distribution,
-)
-
 __version__ = "0.1.0"
 
-# Each module loaded on first use, and the public names it brings.
-_LAZY = {
+# Each module, and the public names it brings.
+_NAMES = {
+    "errors": (
+        "BadEpsilonError", "BadRationalError", "BadSequenceSpecError", "DomainError",
+        "EvaluationError", "EventParseError", "InconclusiveError", "IndexOutOfRangeError",
+        "KRangeError", "LimitGapError", "NRangeError", "NTooLargeError", "NegativeMassError",
+        "NoSetLimitError", "NoWeakLimitError", "TotalExceedsOneError",
+    ),
+    "measure_core": (
+        "NEG_INF", "POS_INF", "AdditivityReport", "DiscreteMeasure", "ExtReal", "Interval",
+        "MeasurableSet", "check_additivity", "dirac", "finite", "from_mass_pairs",
+        "measure_from_dict", "measure_to_dict", "parse_ext_real", "parse_rational", "rat_str",
+        "set_from_dict", "set_to_dict",
+    ),
+    "process_lab": (
+        "FAIR", "Outcome", "ProcessRow", "enumerate_outcomes", "escaped_mass_profile",
+        "event_probability", "iter_outcomes", "lambda_measure", "mu_closed_form",
+        "z_distribution",
+    ),
     "convergence_lab": (
         "BranchReport", "LimitReport", "RealSequence", "SequenceAnalysis", "SetFamily",
         "TightnessVerdict", "analyze_rational_sequence", "branch_check", "integral_limit",
@@ -94,13 +62,15 @@ _LAZY = {
     "extended_line": ("UnitReal", "compactify_measure", "h", "h_inv", "metric_d"),
     "identities": ("IdentityReport", "verify_process_identities"),
 }
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_EAGER = ("errors", "measure_core", "process_lab")  # the others load on first use
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted(_HOME)
 _PACKAGE = sys.modules[__name__]  # this generation
 
 
 def __getattr__(name: str) -> object:
     # Called only for a name the package does not hold yet.
-    module = name if name in _LAZY else _HOME.get(name)
+    module = name if name in _NAMES else _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load(module)
@@ -132,86 +102,13 @@ def _load(module: str) -> None:
         if replaced:
             _take_entries()
             sys.modules.update(others)
-    globals().update({module: loaded, **{name: getattr(loaded, name) for name in _LAZY[module]}})
+    globals().update({module: loaded, **{name: getattr(loaded, name) for name in _NAMES[module]}})
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *__all__})
+    return sorted({*globals(), *_NAMES, *__all__})
 
-__all__ = [
-    "AdditivityReport",
-    "BadEpsilonError",
-    "BadRationalError",
-    "BadSequenceSpecError",
-    "BranchReport",
-    "DiscreteMeasure",
-    "DomainError",
-    "EvaluationError",
-    "EventParseError",
-    "EventPredicate",
-    "ExtReal",
-    "FAIR",
-    "IdentityReport",
-    "InconclusiveError",
-    "IndexOutOfRangeError",
-    "Interval",
-    "KRangeError",
-    "LimitGapError",
-    "LimitReport",
-    "MeasurableSet",
-    "MeasureFamily",
-    "NEG_INF",
-    "NRangeError",
-    "NTooLargeError",
-    "NegativeMassError",
-    "NoSetLimitError",
-    "NoWeakLimitError",
-    "Outcome",
-    "POS_INF",
-    "ProcessRow",
-    "RealSequence",
-    "SequenceAnalysis",
-    "SetFamily",
-    "TightnessVerdict",
-    "TotalExceedsOneError",
-    "UnitReal",
-    "analyze_rational_sequence",
-    "branch_check",
-    "builtin_family",
-    "check_additivity",
-    "compactify_measure",
-    "dirac",
-    "enumerate_outcomes",
-    "escaped_mass_profile",
-    "eval_event",
-    "event_probability",
-    "finite",
-    "from_mass_pairs",
-    "h",
-    "h_inv",
-    "integral_limit",
-    "iter_outcomes",
-    "lambda_measure",
-    "lower_ray_family",
-    "measure_from_dict",
-    "measure_to_dict",
-    "metric_d",
-    "mu_closed_form",
-    "order_a_limit",
-    "order_b_limit",
-    "parse_event",
-    "parse_ext_real",
-    "parse_rational",
-    "parse_sequence_spec",
-    "print_event",
-    "rat_str",
-    "set_from_dict",
-    "set_table_family",
-    "set_to_dict",
-    "singleton_family",
-    "table_family",
-    "tightness_probe",
-    "verify_process_identities",
-    "weak_limit_identify",
-    "z_distribution",
-]
+
+for _module in _EAGER:
+    _load(_module)
+del _module

@@ -327,7 +327,7 @@ def _cmd_compactify(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_theorem_verify(args: argparse.Namespace) -> _Output:
-    from .convergence_lab import verify_theorem
+    from .theorem import verify_theorem
     data = verify_theorem(args.n_max)
     tail = (
         f"order (a): {data['order_a'].get('value')}"
@@ -447,9 +447,14 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse takes "--xs -1/2+1/n" for two options
-        if argv[i - 1] in ("--x", "--xs") and re.match(r"-[\d.]", argv[i]):
-            argv[i - 1:i + 1] = [f"--xs={argv[i]}"]
+    # argparse reads "--p -1/2" as two options, so each long option is joined to a
+    # following value that starts "-<digit>" or "-."; not --help, which takes none,
+    # nor its prefixes, "--" among them
+    for i in range(len(argv) - 1, 0, -1):
+        flag = argv[i - 1]
+        if (flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+                and re.match(r"-[\d.]", argv[i])):
+            argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     try:  # parse_rational refuses a huge exponent as a domain error, not a usage error
         args = build_parser(argv).parse_args(argv)
         _emit(args.handler(args), args.format, args.out)

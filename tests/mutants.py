@@ -206,7 +206,7 @@ MUTANTS = (
            '_ordered_by("value", "exact", "preimage")',
            ("tests/test_extended_line.py::"
             "test_unit_real_equality_order_and_hash_follow_the_preimage",)),
-    Mutant("theorem enumerates only n <= 4", "convergence_lab.py",
+    Mutant("theorem enumerates only n <= 4", "theorem.py",
            "if n <= 12:",
            "if n <= 4:",
            (CONVERGENCE + "test_the_theorem_refuses_an_enumeration_that_disagrees_at_one_n",)),
@@ -265,6 +265,15 @@ MUTANTS = (
            "    _load(module)\n    return globals()[name]",
            ("tests/test_public_api.py::"
             "test_the_family_names_load_the_family_model_alone[builtin_family]",)),
+    Mutant("the name table drops a public name", "__init__.py",
+           '"families": ("MeasureFamily", "builtin_family", "table_family"),',
+           '"families": ("MeasureFamily", "builtin_family"),',
+           ("tests/test_public_api.py::test_all_lists_exactly_the_public_names",)),
+    Mutant("process_lab loads on first use", "__init__.py",
+           '_EAGER = ("errors", "measure_core", "process_lab")',
+           '_EAGER = ("errors", "measure_core")',
+           ("tests/test_public_api.py::"
+            "test_importing_the_package_loads_three_modules_and_binds_their_public_names",)),
     Mutant("_value_json renders a rational with str", "measure_core.py",
            "        return rat_str(value)\n    if isinstance(value, float):",
            "        return str(value)\n    if isinstance(value, float):",

@@ -1145,14 +1145,33 @@ def _run_catching_exit(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("xs", ["-1/2+1/n", "-3-1/n", "-1", "-.5+1/n"])
+_BRANCHES = ["converge", "branches", "--family", "lambda"]
+_TIGHTNESS = ["converge", "tightness", "--family", "mu"]
+
+
+# argparse takes a unique prefix (--x, --eps); a negative p, epsilon or n is a domain error
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-@pytest.mark.parametrize("flag", ["--xs", "--x"])  # argparse takes the unique prefix
-def test_a_negative_xs_reads_the_same_with_a_space_or_an_equals_sign(flag, xs, fmt):
-    head = ["converge", "branches", "--family", "lambda"]
-    spaced = _run_catching_exit([*head, flag, xs, "--format", fmt])
-    joined = _run_catching_exit([*head, f"--xs={xs}", "--format", fmt])
-    assert spaced == joined and spaced[0] == 0
+@pytest.mark.parametrize("head, flag, option, value, code", [
+    *[(_BRANCHES, flag, "--xs", xs, 0)
+      for flag in ("--xs", "--x") for xs in ("-1/2+1/n", "-3-1/n", "-1", "-.5+1/n")],
+    (["process", "prob", "--n", "4", "--event", "Y==1"], "--p", "--p", "-1/2", 1),
+    (_TIGHTNESS, "--epsilon", "--epsilon", "-1/2", 1),
+    (_TIGHTNESS, "--eps", "--epsilon", "-1/2", 1),
+    (["process", "enumerate"], "--n", "--n", "-1", 1),
+])
+def test_a_negative_value_reads_the_same_with_a_space_or_an_equals_sign(
+        head, flag, option, value, code, fmt):
+    spaced = _run_catching_exit([*head, flag, value, "--format", fmt])
+    joined = _run_catching_exit([*head, f"{option}={value}", "--format", fmt])
+    assert spaced == joined and spaced[0] == code
+    assert spaced[2].startswith("error: ") == bool(code)
+
+
+def test_help_takes_no_value_so_a_negative_number_after_it_is_not_joined():
+    code, out, err = _run_catching_exit(["process", "enumerate", "--help", "-1"])
+    assert code == 0 and out.startswith("usage: limitgap process enumerate") and err == ""
+    code, out, err = _run_catching_exit(["process", "enumerate", "--help=-1"])
+    assert code == 2 and "ignored explicit argument '-1'" in err
 
 
 def _sha256(text):

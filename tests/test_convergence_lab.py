@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitgap import convergence_lab, families
+from limitgap import convergence_lab, families, theorem
 from limitgap.convergence_lab import (
     _TAIL,
     _WINDOW,
@@ -38,7 +38,6 @@ from limitgap.convergence_lab import (
     table_family,
     integral_limit,
     tightness_probe,
-    verify_theorem,
     weak_limit_identify,
 )
 from limitgap.errors import (
@@ -62,6 +61,7 @@ from limitgap.measure_core import (
     from_mass_pairs,
 )
 from limitgap.process_lab import lambda_measure, mu_closed_form
+from limitgap.theorem import verify_theorem
 
 HALF = F(1, 2)
 
@@ -884,9 +884,9 @@ def test_branch_check_and_the_theorem_identify_the_weak_limit_once(monkeypatch):
 
 
 def test_the_theorem_refuses_an_enumeration_that_disagrees_at_one_n(monkeypatch):
-    probability = convergence_lab.event_probability
+    probability = theorem.event_probability
     monkeypatch.setattr(
-        convergence_lab,
+        theorem,
         "event_probability",
         lambda n, p, e: probability(n, p, e) + (n == 5),
     )
@@ -1009,7 +1009,7 @@ def test_random_ray_specs_never_split_orders_for_the_tight_family():
 def test_theorem_checks_the_ray_mass_past_the_enumeration_rows(monkeypatch):
     # a law that is wrong only at n = 15, past the n <= 12 enumeration check
     monkeypatch.setattr(
-        convergence_lab,
+        theorem,
         "mu_closed_form",
         lambda n: dirac(finite(n)) if n == 15 else mu_closed_form(n),
     )

@@ -3,8 +3,9 @@
 Three types also keep their field names, and every frozen type refuses a
 write with AttributeError.  The family model, the limit machinery, the
 extended line, the event language and the identity oracle are loaded on first
-use, and no command loads `dataclasses`: a command leaves unloaded each module
-it does not run, and a package generation left behind by a re-import still
+use, and no command loads `dataclasses`: importing the package loads three
+modules and binds their names, a command leaves unloaded each module it does
+not run, and a package generation left behind by a re-import still
 answers as a fresh one does.
 """
 
@@ -148,10 +149,26 @@ def test_every_frozen_type_refuses_a_write_with_attribute_error(value):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
+_IMPORT_PROBE = f"""
+import json, sys
+import limitgap
+loaded = sorted(m for m in sys.modules if m.startswith("limitgap."))
+held = [name for name in {PUBLIC_NAMES!r} if any(name in vars(sys.modules[m]) for m in loaded)]
+print(json.dumps([loaded, held, [name for name in {PUBLIC_NAMES!r} if name in vars(limitgap)]]))
+"""
+
+
+def test_importing_the_package_loads_three_modules_and_binds_their_public_names():
+    loaded, held, bound = json.loads(_python("-c", _IMPORT_PROBE))
+    assert loaded == ["limitgap.errors", "limitgap.measure_core", "limitgap.process_lab"]
+    assert bound == held and len(held) == 44
+
+
 # Modules that `import limitgap.cli` leaves unloaded, for a command to load if it runs them.
 # No command loads dataclasses, or the inspect it imports: every value type is a record.
 _DEFERRED = ("limitgap.convergence_lab", "limitgap.extended_line", "limitgap.event_dsl",
-             "limitgap.cli_streams", "limitgap.identities", "csv", "dataclasses", "inspect")
+             "limitgap.theorem", "limitgap.cli_streams", "limitgap.identities", "csv",
+             "dataclasses", "inspect")
 
 _PROBE = f"""
 import contextlib, io, sys
@@ -181,7 +198,8 @@ def _python(*args: str) -> str:
     (["converge", "weaklimit", "--family", "mu"], ["limitgap.convergence_lab"]),
     (["converge", "testfn", "--family", "lambda", "--fn", "sin", "--horizon", "16"],
      ["limitgap.convergence_lab", "limitgap.extended_line"]),
-    (["theorem", "verify", "--n-max", "4"], ["limitgap.convergence_lab", "limitgap.event_dsl"]),
+    (["theorem", "verify", "--n-max", "4"],
+     ["limitgap.convergence_lab", "limitgap.event_dsl", "limitgap.theorem"]),
     (["measure", "show", "--family", "@{table}"], []),
     (["measure", "show", "--family", "mu", "--n", "3", "--format", "csv"], ["csv"]),
     (["compactify", "--family", "@{table}"], ["limitgap.extended_line"]),

@@ -17,7 +17,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import LimitGapError, NRangeError
 from .measure_core import (
@@ -130,9 +130,31 @@ def _single_set_arg(spec: str) -> MeasurableSet:
 class _Output(NamedTuple):
     data: dict[str, Any]  # json payload
     rows: list[dict[str, Any]] | None = None  # table/csv rows, if tabular
-    blocks: Callable[[str], Iterator[str]] | None = None  # every format's text, in place of data and rows
     head: str = ""  # table-only line before the rows or key/value lines
     tail: str = ""  # table-only lines after them
+
+    def __call__(self, fmt: str) -> tuple[str]:
+        """The whole text as `fmt`, in one chunk."""
+        if fmt == "table":
+            body = _rows_table(self.rows) if self.rows is not None else "\n".join(
+                f"{r['key']}: {r['value']}" for r in _key_value_rows(self.data))
+            return ("\n".join(part for part in (self.head, body, self.tail) if part) + "\n",)
+        buf = io.StringIO()
+        if fmt == "json":  # json.dumps would join a list of every chunk
+            buf.writelines(json.JSONEncoder(indent=2).iterencode(self.data))
+            buf.write("\n")
+        else:
+            import csv
+            rows = self.rows if self.rows is not None else _key_value_rows(self.data)
+            header = list(rows[0])  # two or more columns, so itemgetter gives a tuple
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(map(operator.itemgetter(*header), rows))
+        return (buf.getvalue(),)
+
+
+# What every handler returns: its text in the format asked for, chunk by chunk.
+_Text = Callable[[str], Iterable[str]]
 
 
 def _key_value_rows(data: dict[str, Any]) -> list[dict[str, Any]]:
@@ -163,32 +185,9 @@ def _measure_output(m: DiscreteMeasure) -> _Output:
     return _Output(data, rows, tail=f"total: {data['total']}")
 
 
-def _emit(output: _Output, fmt: str, out_path: str | None) -> None:
-    """Write `output` as `fmt` to the `--out` file, or to stdout without one.
-
-    An output with `blocks` writes its text block by block, in every format.
-    Any other output is rendered whole and written at once.
-    """
-    if output.blocks is not None:
-        chunks: Iterable[str] = output.blocks(fmt)
-    elif fmt == "json":
-        buf = io.StringIO()  # json.dumps would join a list of every chunk
-        buf.writelines(json.JSONEncoder(indent=2).iterencode(output.data))
-        buf.write("\n")
-        chunks = (buf.getvalue(),)
-    elif fmt == "csv":
-        import csv
-        rows = output.rows if output.rows is not None else _key_value_rows(output.data)
-        buf = io.StringIO()
-        header = list(rows[0])  # two or more columns, so itemgetter gives a tuple
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(map(operator.itemgetter(*header), rows))
-        chunks = (buf.getvalue(),)
-    else:
-        body = _rows_table(output.rows) if output.rows is not None else "\n".join(
-            f"{r['key']}: {r['value']}" for r in _key_value_rows(output.data))
-        chunks = ("\n".join(part for part in (output.head, body, output.tail) if part) + "\n",)
+def _emit(output: _Text, fmt: str, out_path: str | None) -> None:
+    """Write the chunks of `output(fmt)` to the `--out` file, or to stdout without one."""
+    chunks = output(fmt)
     if not out_path:
         for chunk in chunks:
             sys.stdout.write(chunk)
@@ -202,7 +201,39 @@ def _emit(output: _Output, fmt: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers, each declared by the `_leaf` above it
+
+
+def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, kwargs
+
+
+_OUTPUT = (_opt("--format", choices=("table", "json", "csv"), default="table"),
+           _opt("--out", metavar="PATH"))
+_FAMILY = _opt("--family", required=True)
+_HORIZON = _opt("--horizon", type=int, default=64)
+_P = _opt("--p", type=parse_rational, default=FAIR)
+_N = _opt("--n", type=int, required=True)
+_MEMBER_N = _opt("--n", type=int, default=1)
+
+_GROUPS = {
+    "measure": "discrete measures and additivity",
+    "process": "the coin-flip argmax process",
+    "converge": "weak limits and evaluation orders",
+    "theorem": "the end-to-end two-route pipeline",
+}
+
+
+# Every subcommand as (its words, help, handler, options), in the order the help lists them.
+_LEAVES: list[tuple[list[str], str, Callable[[argparse.Namespace], _Text], tuple]] = []
+
+
+def _leaf(path: str, help: str, *options: tuple) -> Callable:
+    """Make the decorated handler subcommand `path`, taking `options`, --format and --out."""
+    def declare(handler: Callable[[argparse.Namespace], _Text]) -> Callable:
+        _LEAVES.append((path.split(), help, handler, (*options, *_OUTPUT)))
+        return handler
+    return declare
 
 
 # A member's rationals carry O(n) digits, and CPython refuses to print an int
@@ -224,10 +255,13 @@ def _member_arg(args: argparse.Namespace) -> DiscreteMeasure:
     return _family_arg(args.family).member(args.n)
 
 
+@_leaf("measure show", "print one family member", _FAMILY, _MEMBER_N)
 def _cmd_measure_show(args: argparse.Namespace) -> _Output:
     return _measure_output(_member_arg(args))
 
 
+@_leaf("measure additivity", "is mass(A) + mass(B) the mass of an event?", _FAMILY, _MEMBER_N,
+       _opt("--set-a", required=True), _opt("--set-b", required=True))
 def _cmd_measure_additivity(args: argparse.Namespace) -> _Output:
     m = _member_arg(args)
     report = check_additivity(m, _single_set_arg(args.set_a), _single_set_arg(args.set_b))
@@ -240,14 +274,16 @@ def _cmd_measure_additivity(args: argparse.Namespace) -> _Output:
 ENUM_MAX_N = 18
 
 
-def _cmd_process_enumerate(args: argparse.Namespace) -> _Output:
-    iter_outcomes(args.n, args.p)  # checks n and p
+@_leaf("process enumerate", "all 2^n outcome rows", _N, _P)
+def _cmd_process_enumerate(args: argparse.Namespace) -> _Text:
     if args.n > ENUM_MAX_N:
         raise NRangeError(f"n must be at most {ENUM_MAX_N}, got {args.n}")
+    iter_outcomes(args.n, args.p)  # checks n >= 1 and p
     from .cli_streams import enumerate_blocks
-    return _Output({}, blocks=lambda fmt: enumerate_blocks(args.n, args.p, fmt))
+    return functools.partial(enumerate_blocks, args.n, args.p)
 
 
+@_leaf("process prob", "exact probability of an event", _N, _P, _opt("--event", required=True))
 def _cmd_process_prob(args: argparse.Namespace) -> _Output:
     events = _event_dsl()
     event = events.parse_event(args.event)
@@ -261,11 +297,14 @@ def _cmd_process_prob(args: argparse.Namespace) -> _Output:
     return _Output(data, head=rat_str(value))
 
 
+@_leaf("process identities", "verify the defining identities on every outcome", _N, _P)
 def _cmd_process_identities(args: argparse.Namespace) -> _Output:
     from .identities import verify_process_identities
     return _Output(verify_process_identities(args.n, args.p).to_dict())
 
 
+@_leaf("process escape", "masses at n-k: the atoms marching off to +inf",
+       _N, _opt("--k-max", type=int))
 def _cmd_process_escape(args: argparse.Namespace) -> _Output:
     _check_member_n(args.n)
     k_max = args.k_max if args.k_max is not None else args.n - 1
@@ -283,12 +322,17 @@ def _cmd_process_escape(args: argparse.Namespace) -> _Output:
     return _Output(data, records, tail=f"partial_sum: {rat_str(total)}")
 
 
+@_leaf("converge tightness", "uniform mass-bound probe",
+       _FAMILY, _opt("--epsilon", type=parse_rational, required=True), _HORIZON)
 def _cmd_converge_tightness(args: argparse.Namespace) -> _Output:
     from .convergence_lab import tightness_probe
     verdict = tightness_probe(_family_arg(args.family), args.epsilon, args.horizon)
     return _Output(verdict.to_dict())
 
 
+@_leaf("converge limit", "limiting probability under order (a) or (b)",
+       _FAMILY, _opt("--sets", required=True),
+       _opt("--order", choices=("a", "b"), required=True), _HORIZON)
 def _cmd_converge_limit(args: argparse.Namespace) -> _Output:
     from .convergence_lab import order_a_limit, order_b_limit
     fam = _family_arg(args.family)
@@ -301,12 +345,15 @@ def _cmd_converge_limit(args: argparse.Namespace) -> _Output:
     return _Output(data, head=str(data.get("value", data.get("status"))))
 
 
+@_leaf("converge weaklimit", "identify the weak limit", _FAMILY, _HORIZON)
 def _cmd_converge_weaklimit(args: argparse.Namespace) -> _Output:
     from .convergence_lab import weak_limit_identify
     limit = weak_limit_identify(_family_arg(args.family), args.horizon)
     return _measure_output(limit)
 
 
+@_leaf("converge testfn", "integrals of a test function along the family",
+       _FAMILY, _opt("--fn", choices=sorted(_TEST_FUNCTIONS), required=True), _HORIZON)
 def _cmd_converge_testfn(args: argparse.Namespace) -> _Output:
     from . import extended_line
     from .convergence_lab import integral_limit
@@ -315,17 +362,22 @@ def _cmd_converge_testfn(args: argparse.Namespace) -> _Output:
     return _Output({"fn": args.fn, **report.to_dict()})
 
 
+@_leaf("converge branches", "both orders on rho_n((-inf, x_n]) against the tightness verdict",
+       _FAMILY, _opt("--xs", required=True), _HORIZON)
 def _cmd_converge_branches(args: argparse.Namespace) -> _Output:
     from .convergence_lab import branch_check
     report = branch_check(_family_arg(args.family), args.xs, args.horizon)
     return _Output(report.to_dict())
 
 
+@_leaf("compactify", "push a family member onto [0, 1] through h", _FAMILY, _MEMBER_N)
 def _cmd_compactify(args: argparse.Namespace) -> _Output:
     from .extended_line import compactify_measure
     return _measure_output(compactify_measure(_member_arg(args)))
 
 
+@_leaf("theorem verify", "per-n decomposition table plus both limit orders",
+       _opt("--n-max", type=int, default=12))
 def _cmd_theorem_verify(args: argparse.Namespace) -> _Output:
     from .theorem import verify_theorem
     data = verify_theorem(args.n_max)
@@ -344,27 +396,21 @@ def _cmd_theorem_verify(args: argparse.Namespace) -> _Output:
 PLOT_MAX_N = 500
 
 
-def _cmd_plotdata(args: argparse.Namespace) -> _Output:
+@_leaf("plotdata", "segment heights of the argmax law for plotting",
+       _opt("--n-max", type=int, default=3))
+def _cmd_plotdata(args: argparse.Namespace) -> _Text:
     if not 1 <= args.n_max <= PLOT_MAX_N:
         raise NRangeError(f"n_max must lie in [1, {PLOT_MAX_N}], got {args.n_max}")
     from .cli_streams import plot_blocks
-    return _Output({}, blocks=lambda fmt: plot_blocks(args.n_max, fmt))
+    return functools.partial(plot_blocks, args.n_max)
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
 
-def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
-    return flags, kwargs
-
-
-_OUTPUT = (_opt("--format", choices=("table", "json", "csv"), default="table"),
-           _opt("--out", metavar="PATH"))
-
-
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand.
+    """The parser of every declared subcommand.
 
     Given the argv it is to parse, only the subcommand that argv's leading
     words name gets its options, which cost a few hundred microseconds per
@@ -378,70 +424,19 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         "measures on the extended real line, the coin-flip argmax process, "
         "and the two rival evaluation orders for limiting probabilities.",
     )
-    top = parser.add_subparsers(dest="command", required=True)
-    groups = {"": top}
-    leaves: list[tuple[argparse.ArgumentParser, list[str], tuple]] = []
-
-    def group(name: str, help: str) -> None:
-        sub = top.add_parser(name, help=help)
-        groups[name] = sub.add_subparsers(dest="subcommand", required=True)
-
-    def leaf(path: str, help: str, handler: Callable, *options: tuple) -> None:
-        """Add subcommand `path`, to take its options, then --format and --out."""
-        words = path.split()
-        sub = groups[" ".join(words[:-1])].add_parser(words[-1], help=help)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    named = next((words for words, *_ in _LEAVES
+                  if argv is not None and list(argv[:len(words)]) == words), None)
+    for words, help, handler, options in _LEAVES:
+        group = " ".join(words[:-1])
+        if group not in groups:  # a group's subparsers come at its first leaf
+            sub = groups[""].add_parser(group, help=_GROUPS[group])
+            groups[group] = sub.add_subparsers(dest="subcommand", required=True)
+        sub = groups[group].add_parser(words[-1], help=help)
         sub.set_defaults(handler=handler)
-        leaves.append((sub, words, (*options, *_OUTPUT)))
-
-    # Built per call, so parse_rational is looked up where a tracer can wrap it.
-    family = _opt("--family", required=True)
-    horizon = _opt("--horizon", type=int, default=64)
-    p = _opt("--p", type=parse_rational, default=FAIR)
-    n = _opt("--n", type=int, required=True)
-    member_n = _opt("--n", type=int, default=1)
-
-    group("measure", "discrete measures and additivity")
-    leaf("measure show", "print one family member", _cmd_measure_show, family, member_n)
-    leaf("measure additivity", "is mass(A) + mass(B) the mass of an event?",
-         _cmd_measure_additivity, family, member_n,
-         _opt("--set-a", required=True), _opt("--set-b", required=True))
-
-    group("process", "the coin-flip argmax process")
-    leaf("process enumerate", "all 2^n outcome rows", _cmd_process_enumerate, n, p)
-    leaf("process prob", "exact probability of an event", _cmd_process_prob,
-         n, p, _opt("--event", required=True))
-    leaf("process identities", "verify the defining identities on every outcome",
-         _cmd_process_identities, n, p)
-    leaf("process escape", "masses at n-k: the atoms marching off to +inf",
-         _cmd_process_escape, n, _opt("--k-max", type=int))
-
-    group("converge", "weak limits and evaluation orders")
-    leaf("converge tightness", "uniform mass-bound probe", _cmd_converge_tightness,
-         family, _opt("--epsilon", type=parse_rational, required=True), horizon)
-    leaf("converge limit", "limiting probability under order (a) or (b)",
-         _cmd_converge_limit, family, _opt("--sets", required=True),
-         _opt("--order", choices=("a", "b"), required=True), horizon)
-    leaf("converge weaklimit", "identify the weak limit", _cmd_converge_weaklimit,
-         family, horizon)
-    leaf("converge testfn", "integrals of a test function along the family",
-         _cmd_converge_testfn, family,
-         _opt("--fn", choices=sorted(_TEST_FUNCTIONS), required=True), horizon)
-    leaf("converge branches",
-         "both orders on rho_n((-inf, x_n]) against the tightness verdict",
-         _cmd_converge_branches, family, _opt("--xs", required=True), horizon)
-
-    leaf("compactify", "push a family member onto [0, 1] through h",
-         _cmd_compactify, family, member_n)
-    group("theorem", "the end-to-end two-route pipeline")
-    leaf("theorem verify", "per-n decomposition table plus both limit orders",
-         _cmd_theorem_verify, _opt("--n-max", type=int, default=12))
-    leaf("plotdata", "segment heights of the argmax law for plotting",
-         _cmd_plotdata, _opt("--n-max", type=int, default=3))
-    named = [entry for entry in leaves
-             if argv is not None and list(argv[:len(entry[1])]) == entry[1]]
-    for sub, _, options in named or leaves:
-        for flags, kwargs in options:
-            sub.add_argument(*flags, **kwargs)
+        if named is None or named is words:
+            for flags, kwargs in options:
+                sub.add_argument(*flags, **kwargs)
     return parser
 
 

@@ -1,6 +1,6 @@
 """The text of the two commands that stream their rows: `process enumerate` and `plotdata`.
 
-Each writes what `cli._emit` would print for its rows, in every format, a
+Each writes what `cli._Output` would print for its rows, in every format, a
 block of rows at a time; the text around the rows comes from `_frame`.  Only
 those two commands import this module, so no other command loads it.
 """
@@ -40,7 +40,7 @@ class _Frame(NamedTuple):
 
 def _frame(fmt: str, keys: dict[str, Any], rows_key: str,
            columns: Sequence[tuple[str, int, bool]]) -> _Frame:
-    """What `cli._emit` prints around the rows of {**keys, rows_key: rows}, for at least one row.
+    """What `cli._Output` prints around the rows of {**keys, rows_key: rows}, for at least one row.
 
     Each column is (name, its widest value's length, whether json quotes its values).
     """

@@ -280,13 +280,21 @@ MUTANTS = (
            (CLI + "test_reports_print_the_pinned_bytes[measure additivity --family "
                   "@{dir}/settling.json --n 3 --set-a @{dir}/half_open.json --set-b I=1/2-json]",)),
     Mutant("options go to every leaf but the one argv names", "cli.py",
-           "for sub, _, options in named or leaves:",
-           "for sub, _, options in [e for e in leaves if e not in named] or leaves:",
+           "if named is None or named is words:",
+           "if named is None or named is not words:",
            (CLI + "test_parser_help_and_usage_errors_are_pinned[measure show]",)),
     Mutant("an argv that names no leaf gives no leaf its options", "cli.py",
-           "for sub, _, options in named or leaves:",
-           "for sub, _, options in named if argv is not None else leaves:",
+           "if named is None or named is words:",
+           "if argv is None or named is words:",
            (CLI + "test_a_parser_built_for_its_argv_acts_as_the_full_parser[measure show]",)),
+    Mutant("every group takes the measure group's help", "cli.py",
+           "help=_GROUPS[group]",
+           'help=_GROUPS["measure"]',
+           (CLI + "test_parser_help_and_usage_errors_are_pinned[limitgap]",)),
+    Mutant("_emit writes only the first chunk", "cli.py",
+           "chunks = output(fmt)",
+           "chunks = [next(iter(output(fmt)))]",
+           (CLI + "test_plotdata_prints_what_the_members_print[7-csv]",)),
     Mutant("a record reads a dataclass pickle's dict as its field values", "measure_core.py",
            "if isinstance(state, dict):",
            "if False:",

@@ -535,9 +535,11 @@ def test_enumerate_json_streams_its_rows():
     assert peak < chars
 
 
+# Past ENUM_MAX_N, and on either side of the library's enumeration cap of 24.
+@pytest.mark.parametrize("n", [ENUM_MAX_N + 1, 24, 25, 30])
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_enumerate_n_range_check(capsys, fmt):
-    n = str(ENUM_MAX_N + 1)
+def test_enumerate_n_range_check(capsys, fmt, n):
+    n = str(n)
     code, out, err = run(capsys, "process", "enumerate", "--n", n, "--format", fmt)
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: n must be at most {ENUM_MAX_N}, got {n}"]
@@ -946,7 +948,7 @@ def test_repeated_runs_are_byte_identical(capsys):
 
 
 def test_domain_errors_exit_with_code_one(capsys):
-    code, out, err = run(capsys, "process", "enumerate", "--n", "30")
+    code, out, err = run(capsys, "process", "prob", "--n", "30", "--event", "Y==1")
     assert code == 1 and out == ""
     assert "error:" in err and "enumeration cap 24" in err
 
@@ -1297,6 +1299,59 @@ FUZZ_EVENTS = ["X[N]==0", "X[N]==0 && Z<N", "Y==1 || Z==N", "X[0]==1", "X[99]==1
                "Y==1 && " * 2999 + "Y==1"]
 
 
+def _pick(draw, options):
+    return draw(st.sampled_from(options))
+
+
+def _size(draw):
+    return str(draw(st.integers(-3, 9)))
+
+
+def _member_n(draw):
+    return str(draw(st.integers(-3, 9) | st.just(MEMBER_MAX_N + 1)))
+
+
+def _enum_n(draw):
+    return str(draw(st.integers(-3, 9) | st.just(ENUM_MAX_N + 1)))
+
+
+def _p(draw):
+    return ["--p", _pick(draw, FUZZ_RATIONALS)] if draw(st.booleans()) else []
+
+
+# Each subcommand's options as cli_argv draws them, given hypothesis's draw.
+FUZZ_COMMANDS = {
+    "measure show": lambda draw: [
+        "--family", _pick(draw, FUZZ_FAMILIES), "--n", _member_n(draw)],
+    "measure additivity": lambda draw: [
+        "--family", _pick(draw, FUZZ_FAMILIES), "--n", _member_n(draw),
+        "--set-a", _pick(draw, FUZZ_SET), "--set-b", _pick(draw, FUZZ_SET)],
+    "process enumerate": lambda draw: ["--n", _enum_n(draw), *_p(draw)],
+    "process prob": lambda draw: [
+        "--n", _size(draw), "--event", _pick(draw, FUZZ_EVENTS), *_p(draw)],
+    "process identities": lambda draw: ["--n", _size(draw), *_p(draw)],
+    "process escape": lambda draw: ["--n", _member_n(draw), "--k-max", _size(draw)],
+    "converge tightness": lambda draw: [
+        "--family", _pick(draw, FUZZ_FAMILIES), "--epsilon", _pick(draw, FUZZ_RATIONALS),
+        "--horizon", _size(draw)],
+    "converge limit": lambda draw: [
+        "--family", _pick(draw, FUZZ_FAMILIES), "--sets", _pick(draw, FUZZ_SETS),
+        "--order", _pick(draw, ["a", "b", "c"]), "--horizon", _size(draw)],
+    "converge weaklimit": lambda draw: [
+        "--family", _pick(draw, FUZZ_FAMILIES), "--horizon", _size(draw)],
+    "converge testfn": lambda draw: [
+        "--family", _pick(draw, FUZZ_FAMILIES), "--fn", _pick(draw, ["sin", "atan", "h", "cos"]),
+        "--horizon", _size(draw)],
+    "converge branches": lambda draw: [
+        "--family", _pick(draw, FUZZ_FAMILIES), "--xs", _pick(draw, FUZZ_XS),
+        "--horizon", _size(draw)],
+    "compactify": lambda draw: [
+        "--family", _pick(draw, FUZZ_FAMILIES), "--n", _member_n(draw)],
+    "theorem verify": lambda draw: ["--n-max", _size(draw)],
+    "plotdata": lambda draw: ["--n-max", _size(draw)],
+}
+
+
 @st.composite
 def cli_argv(draw):
     """Any subcommand with small sizes, bad rationals and specs, and bad files.
@@ -1304,50 +1359,11 @@ def cli_argv(draw):
     The four commands that print one member also try an n just past
     MEMBER_MAX_N, and `process enumerate` one just past ENUM_MAX_N.
     """
-    def pick(options):
-        return draw(st.sampled_from(options))
-
-    def size():
-        return str(draw(st.integers(-3, 9)))
-
-    def member_n():
-        return str(draw(st.integers(-3, 9) | st.just(MEMBER_MAX_N + 1)))
-
-    def enum_n():
-        return str(draw(st.integers(-3, 9) | st.just(ENUM_MAX_N + 1)))
-
-    def p():
-        return ["--p", pick(FUZZ_RATIONALS)] if draw(st.booleans()) else []
-
-    commands = {
-        "measure show": lambda: ["--family", pick(FUZZ_FAMILIES), "--n", member_n()],
-        "measure additivity": lambda: [
-            "--family", pick(FUZZ_FAMILIES), "--n", member_n(),
-            "--set-a", pick(FUZZ_SET), "--set-b", pick(FUZZ_SET)],
-        "process enumerate": lambda: ["--n", enum_n(), *p()],
-        "process prob": lambda: ["--n", size(), "--event", pick(FUZZ_EVENTS), *p()],
-        "process identities": lambda: ["--n", size(), *p()],
-        "process escape": lambda: ["--n", member_n(), "--k-max", size()],
-        "converge tightness": lambda: [
-            "--family", pick(FUZZ_FAMILIES), "--epsilon", pick(FUZZ_RATIONALS),
-            "--horizon", size()],
-        "converge limit": lambda: [
-            "--family", pick(FUZZ_FAMILIES), "--sets", pick(FUZZ_SETS),
-            "--order", pick(["a", "b", "c"]), "--horizon", size()],
-        "converge weaklimit": lambda: ["--family", pick(FUZZ_FAMILIES), "--horizon", size()],
-        "converge testfn": lambda: [
-            "--family", pick(FUZZ_FAMILIES), "--fn", pick(["sin", "atan", "h", "cos"]),
-            "--horizon", size()],
-        "converge branches": lambda: [
-            "--family", pick(FUZZ_FAMILIES), "--xs", pick(FUZZ_XS), "--horizon", size()],
-        "compactify": lambda: ["--family", pick(FUZZ_FAMILIES), "--n", member_n()],
-        "theorem verify": lambda: ["--n-max", size()],
-        "plotdata": lambda: ["--n-max", size()],
-    }
-    name = pick(sorted(commands))
-    argv = [*name.split(), *commands[name](), "--format", pick(["table", "json", "csv"])]
+    name = _pick(draw, sorted(FUZZ_COMMANDS))
+    argv = [*name.split(), *FUZZ_COMMANDS[name](draw),
+            "--format", _pick(draw, ["table", "json", "csv"])]
     if draw(st.booleans()):
-        argv += ["--out", pick(["{dir}/out.txt", "{dir}/missing/out.txt"])]
+        argv += ["--out", _pick(draw, ["{dir}/out.txt", "{dir}/missing/out.txt"])]
     return argv
 
 
@@ -1393,6 +1409,14 @@ EQUIVALENCE_OPTIONS = {
     "theorem verify": {"--n-max": SIZES},
     "plotdata": {"--n-max": SIZES},
 }
+
+
+def test_every_declared_subcommand_has_a_help_digest_equivalence_options_and_a_fuzz_entry():
+    paths = [" ".join(words) for words, *_ in cli._LEAVES]
+    assert len(set(paths)) == len(paths)
+    assert set(paths) == set(EQUIVALENCE_OPTIONS) == set(FUZZ_COMMANDS)
+    for path in paths:
+        assert path in PARSER_DIGESTS and path.rpartition(" ")[0] in PARSER_DIGESTS, path
 
 
 def _equivalence_argvs(command):

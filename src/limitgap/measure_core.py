@@ -136,8 +136,8 @@ class ExtReal(_Record):
     """A point of R-bar: -inf, a finite rational, or +inf.
 
     The total order puts -inf below every finite rational and +inf above;
-    finite points compare as rationals.  Instances are immutable and hashable,
-    so they can serve as measure support points and dict keys.
+    finite points compare as rationals, so they can serve as measure support
+    points.  Instances are immutable and hashable, so they can be dict keys.
     """
 
     __slots__ = ("tag", "value")  # tag _NEG < _FIN < _POS, compared before value
@@ -356,14 +356,19 @@ class MeasurableSet(_Record):
         return " U ".join(parts) if parts else "(empty)"
 
 
+_POINT = operator.itemgetter(0)
+
+
 class DiscreteMeasure(_Record):
     """A finite atom map with exact rational masses and total at most 1.
 
-    Construction normalizes: duplicate points are summed, zero-mass atoms
-    dropped, atoms sorted by point.  `total` is computed, never supplied.
-    Support points are ExtReal throughout this module; any totally ordered
-    hashable point type works (the compactification maps supports into
-    [0, 1] unit-interval points).
+    Construction normalizes in one sorted pass: each mass is converted and
+    checked in input order, atoms are stably sorted by point, equal points
+    are summed onto the first point given, and zero-mass atoms dropped.
+    `total` is computed, never supplied.  Support points are ExtReal
+    throughout this module; any totally ordered point type works, hashable
+    or not (the compactification maps supports into [0, 1] unit-interval
+    points).
     """
 
     __slots__ = ("atoms", "total")
@@ -373,15 +378,23 @@ class DiscreteMeasure(_Record):
         self.__post_init__()  # looked up on the class, where a tracer may wrap it
 
     def __post_init__(self) -> None:
-        merged: dict[Any, Fraction] = {}
+        checked = []
         for point, mass in self.atoms:
             mass = Fraction(mass)
             if mass < 0:
                 raise NegativeMassError(f"negative mass {rat_str(mass)} at {point}")
-            merged[point] = merged.get(point, Fraction(0)) + mass
-        cleaned = tuple(
-            (point, mass) for point, mass in sorted(merged.items()) if mass != 0
-        )
+            checked.append((point, mass))
+        # Stable, so equal points keep their input order.  Atoms that arrive in
+        # order (builtin and table members, pushforwards through the
+        # compactification) cost n - 1 compares.
+        checked.sort(key=_POINT)
+        merged: list[tuple[Any, Fraction]] = []
+        for point, mass in checked:
+            if merged and point == merged[-1][0]:
+                merged[-1] = (merged[-1][0], merged[-1][1] + mass)
+            else:
+                merged.append((point, mass))
+        cleaned = tuple(atom for atom in merged if atom[1])
         total = sum((mass for _, mass in cleaned), Fraction(0))
         if total > 1:
             raise TotalExceedsOneError(rat_str(total))
@@ -445,14 +458,17 @@ def from_mass_pairs(
     """Build a measure from (point, mass) pairs.
 
     Points given as plain ints, Fractions, or strings are wrapped as finite
-    ExtReal coordinates.  Raises NegativeMassError for any mass < 0 and
-    TotalExceedsOneError (with the exact sum) when masses add to more than 1.
+    ExtReal coordinates; a bool point is refused with DomainError.  Raises
+    NegativeMassError for any mass < 0 and TotalExceedsOneError (with the
+    exact sum) when masses add to more than 1.
     """
     atoms = []
     for point, mass in pairs:
-        if isinstance(point, (int, Fraction, str)) and not isinstance(point, bool):
+        if isinstance(point, bool):
+            raise DomainError(f"a point cannot be the bool {point!r}")
+        if isinstance(point, (int, Fraction, str)):
             point = finite(point)
-        atoms.append((point, Fraction(mass)))
+        atoms.append((point, mass))  # the constructor converts each mass
     return DiscreteMeasure(tuple(atoms))
 
 

@@ -305,6 +305,28 @@ MUTANTS = (
            "values = dict(zip(names[::-1], args), **kwargs)",
            (EVENT + "test_round_trip_holds_for_random_trees",
             CLI + "test_reports_print_the_pinned_bytes[process identities --n 6 --p 1/3-json]")),
+    Mutant("equal neighbours merge only when they are one object", "measure_core.py",
+           "if merged and point == merged[-1][0]:",
+           "if merged and point is merged[-1][0]:",
+           (MEASURE + "test_the_sorted_pass_normalises_as_the_dict_did",
+            MEASURE + "test_duplicates_merge_and_zero_mass_drops")),
+    Mutant("negative masses checked after the sort", "measure_core.py",
+           """            if mass < 0:
+                raise NegativeMassError(f"negative mass {rat_str(mass)} at {point}")
+            checked.append((point, mass))""",
+           """            checked.append((point, mass))
+        for point, mass in sorted(checked, key=_POINT):
+            if mass < 0:
+                raise NegativeMassError(f"negative mass {rat_str(mass)} at {point}")""",
+           (MEASURE + "test_the_first_negative_mass_given_is_the_one_reported",)),
+    Mutant("zero masses dropped before the merge", "measure_core.py",
+           "            checked.append((point, mass))",
+           "            if mass:\n                checked.append((point, mass))",
+           (MEASURE + "test_the_sorted_pass_normalises_as_the_dict_did",)),
+    Mutant("atoms sorted by point, then mass", "measure_core.py",
+           "checked.sort(key=_POINT)",
+           "checked.sort()",
+           (MEASURE + "test_the_sorted_pass_normalises_as_the_dict_did",)),
     Mutant("_checked ignores the cap", "process_lab.py",
            "if cap is not None and n > cap:",
            "if False:",

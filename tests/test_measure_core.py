@@ -1,6 +1,7 @@
 """Exactness, normal forms, and additivity of the measure layer."""
 
 import copy
+import functools
 import math
 import operator
 import pickle
@@ -11,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitgap.errors import LimitGapError, NegativeMassError, TotalExceedsOneError
+from limitgap.errors import (
+    DomainError,
+    LimitGapError,
+    NegativeMassError,
+    TotalExceedsOneError,
+)
 from limitgap.families import MeasureFamily
 from limitgap.measure_core import (
     NEG_INF,
@@ -230,6 +236,102 @@ def test_negative_mass_rejected():
 def test_total_above_one_reports_exact_sum():
     with pytest.raises(TotalExceedsOneError, match="9/8"):
         from_mass_pairs([(0, "1/2"), (1, "5/8")])
+
+
+def _dict_normalised(atoms):
+    """The normaliser DiscreteMeasure had before its one sorted pass: merge in a
+    dict keyed by point, then sort.  Gives (atoms, total, text) or raises as it did."""
+    merged = {}
+    for point, mass in atoms:
+        mass = F(mass)
+        if mass < 0:
+            raise NegativeMassError(f"negative mass {rat_str(mass)} at {point}")
+        merged[point] = merged.get(point, F(0)) + mass
+    cleaned = tuple((point, mass) for point, mass in sorted(merged.items()) if mass != 0)
+    total = sum((mass for _, mass in cleaned), F(0))
+    if total > 1:
+        raise TotalExceedsOneError(rat_str(total))
+    return cleaned, total, "{" + ", ".join(f"{p}: {rat_str(m)}" for p, m in cleaned) + "}"
+
+
+def _normalised(atoms):
+    m = DiscreteMeasure(tuple(atoms))
+    return m.atoms, m.total, str(m)
+
+
+def _outcome(normalise, atoms):
+    """The (atoms, total, text) `normalise` gives, or the type and text of what it raises."""
+    try:
+        return normalise(atoms)
+    except (LimitGapError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Each draw is a fresh object, so equal points (1/2 beside 2/4, a new -inf
+# beside NEG_INF) come up as distinct objects and the first one given shows.
+_POINTS = (st.builds(parse_ext_real, st.sampled_from(["0", "1/2", "2/4", "-1/3", "-2/6", "3"]))
+           | st.sampled_from([NEG_INF, POS_INF])
+           | st.builds(ExtReal, st.sampled_from([NEG_INF.tag, POS_INF.tag])))
+_MASSES = st.just(0) | st.integers(0, 5).flatmap(
+    lambda k: st.sampled_from([F(k, 64), f"{k}/64", f"{2 * k}/128"]))
+_FAULTS = ("-1/64", "1/x", "65/64")  # a negative mass, a mass that is no rational, a total past 1
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(atoms=st.lists(st.tuples(_POINTS, _MASSES), max_size=12),
+       fault=st.sampled_from([None, *_FAULTS]), at=st.integers(0, 12))
+def test_the_sorted_pass_normalises_as_the_dict_did(atoms, fault, at):
+    if fault is not None:
+        at %= len(atoms) + 1
+        atoms = [*atoms[:at], (finite(at), fault), *atoms[at:]]
+    want = _outcome(_dict_normalised, atoms)
+    got = _outcome(_normalised, atoms)
+    assert got == want
+    if fault is None:
+        assert all(p is q for (p, _), (q, _) in zip(got[0], want[0], strict=True))
+
+
+def test_the_first_negative_mass_given_is_the_one_reported():
+    with pytest.raises(NegativeMassError, match=r"^negative mass -1/4 at 2/1$"):
+        DiscreteMeasure(((finite(2), "-1/4"), (finite(1), "-1/2")))
+
+
+@functools.total_ordering
+class _Key:
+    """A totally ordered point with no hash."""
+
+    __hash__ = None
+
+    def __init__(self, key):
+        self.key = key
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+    def __str__(self):
+        return f"k{self.key}"
+
+
+def test_points_need_an_order_not_a_hash():
+    first, again, other = _Key(1), _Key(1), _Key(0)
+    atoms = ((first, "1/4"), (other, "1/8"), (again, "1/2"))
+    m = DiscreteMeasure(atoms)
+    assert m.atoms == ((other, F(1, 8)), (first, F(3, 4))) and m.atoms[1][0] is first
+    assert str(m) == "{k0: 1/8, k1: 3/4}" and m.total == F(7, 8)
+    with pytest.raises(TypeError, match="unhashable"):
+        _dict_normalised(atoms)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(True, 1)], [(True, "1/2"), (0, "1/2")], [(0, "1/2"), (False, 0)],
+])
+def test_from_mass_pairs_refuses_a_bool_point(pairs):
+    flag = next(point for point, _ in pairs if isinstance(point, bool))
+    with pytest.raises(DomainError, match=rf"^a point cannot be the bool {flag}$"):
+        from_mass_pairs(pairs)
 
 
 def test_dirac_is_a_unit_atom():

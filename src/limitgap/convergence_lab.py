@@ -209,7 +209,7 @@ def _member_mass(fam: MeasureFamily, n: int, s: MeasurableSet) -> Fraction:
 
     pieces = (*s.intervals, *(Interval(p, True, p, True) for p in s.points))
     return sum(
-        (through(iv.hi, iv.hi_closed) - through(iv.lo, not iv.lo_closed) for iv in pieces),
+        (through(*iv._upper) - through(*iv._lower) for iv in pieces),
         Fraction(0),
     )
 
@@ -441,6 +441,14 @@ def _scan(horizon: int, fam: MeasureFamily, sets: SetFamily | None = None) -> in
     return horizon
 
 
+def _limit_scan(horizon: int, fam: MeasureFamily) -> int:
+    """_scan for a limit read off the members, which needs two of them to compare."""
+    scan = _scan(horizon, fam)
+    if scan < 2:
+        raise InconclusiveError("explicit family is too short to scan")
+    return scan
+
+
 # ---------------------------------------------------------------------------
 # tightness
 
@@ -506,11 +514,9 @@ def weak_limit_identify(fam: MeasureFamily, horizon: int) -> DiscreteMeasure:
     the mass at every support point must settle (exact trailing window or exact
     geometric tail); mass not claimed by any finite point goes to +inf.
     """
-    scan = _scan(horizon, fam)
+    scan = _limit_scan(horizon, fam)
     if fam.table is None:
         return _BUILTINS[fam.kind].limit
-    if scan < 2:
-        raise InconclusiveError("explicit family is too short to scan")
     members = [fam.member(n) for n in range(1, scan + 1)]
     points = sorted({p for m in members for p in m.support})
     limit_pairs: list[tuple[ExtReal, Fraction]] = []
@@ -556,7 +562,7 @@ def integral_limit(
     scan; "divergent" when the trailing half spreads by 0.1 or more (two
     subsequence witnesses included); otherwise inconclusive.
     """
-    scan = _scan(horizon, fam)
+    scan = _limit_scan(horizon, fam)
     report = partial(LimitReport, order="testfn", horizon_used=scan)
 
     def integral(m: DiscreteMeasure) -> float:

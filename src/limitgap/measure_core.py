@@ -209,6 +209,11 @@ class Interval(_Record):
     def _upper(self) -> tuple[ExtReal, bool]:
         return self.hi, self.hi_closed
 
+    @classmethod
+    def _between(cls, lower: tuple[ExtReal, bool], upper: tuple[ExtReal, bool]) -> Interval:
+        """The interval from a lower key to an upper key: the inverse of the two above."""
+        return cls(lower[0], not lower[1], *upper)
+
     @property
     def is_empty(self) -> bool:
         return self._lower >= self._upper
@@ -218,15 +223,7 @@ class Interval(_Record):
         return self.lo == self.hi and self.lo_closed and self.hi_closed
 
     def contains(self, x: ExtReal) -> bool:
-        # Not the keys: a tuple compares an equal point twice, which measured 8%
-        # slower here and 4-5% in mass_of_set on mu's rays (2-core Xeon, 3.11).
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self._lower <= (x, False) < self._upper
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
@@ -243,7 +240,7 @@ def _merged(intervals: Iterable[Interval], points: Iterable[ExtReal]) -> list[In
     for piece in pieces:
         if merged and piece._lower <= merged[-1]._upper:  # overlapping or touching
             last = merged[-1]
-            merged[-1] = Interval(last.lo, last.lo_closed, *max(last._upper, piece._upper))
+            merged[-1] = Interval._between(last._lower, max(last._upper, piece._upper))
         else:
             merged.append(piece)
     return merged
@@ -337,13 +334,11 @@ class MeasurableSet(_Record):
             infinities = ()
         else:
             raise ValueError(f"unknown ambient {ambient!r} (use 'R' or 'Rbar')")
-        gaps: list[Interval] = []
-        cursor, cursor_in = NEG_INF, True
-        for piece in _merged(self.intervals, self.points + infinities):
-            gaps.append(Interval(cursor, cursor_in, piece.lo, not piece.lo_closed))
-            cursor, cursor_in = piece.hi, not piece.hi_closed
-        gaps.append(Interval(cursor, cursor_in, POS_INF, True))
-        return MeasurableSet.from_pieces(gaps)
+        # Each gap runs from one piece's upper key to the next piece's lower key.
+        pieces = _merged(self.intervals, self.points + infinities)
+        uppers = [(NEG_INF, False)] + [piece._upper for piece in pieces]
+        lowers = [piece._lower for piece in pieces] + [(POS_INF, True)]
+        return MeasurableSet.from_pieces(map(Interval._between, uppers, lowers))
 
     def intersection(self, other: MeasurableSet) -> MeasurableSet:
         inside_out = self.complement("Rbar").union(other.complement("Rbar"))
@@ -458,14 +453,14 @@ def from_mass_pairs(
     """Build a measure from (point, mass) pairs.
 
     Points given as plain ints, Fractions, or strings are wrapped as finite
-    ExtReal coordinates; a bool point is refused with DomainError.  Raises
-    NegativeMassError for any mass < 0 and TotalExceedsOneError (with the
-    exact sum) when masses add to more than 1.
+    ExtReal coordinates; a bool or float point is refused with DomainError.
+    Raises NegativeMassError for any mass < 0 and TotalExceedsOneError (with
+    the exact sum) when masses add to more than 1.
     """
     atoms = []
     for point, mass in pairs:
-        if isinstance(point, bool):
-            raise DomainError(f"a point cannot be the bool {point!r}")
+        if isinstance(point, (bool, float)):
+            raise DomainError(f"a point cannot be the {type(point).__name__} {point!r}")
         if isinstance(point, (int, Fraction, str)):
             point = finite(point)
         atoms.append((point, mass))  # the constructor converts each mass

@@ -186,9 +186,22 @@ MUTANTS = (
            "if merged and piece.lo <= merged[-1].hi:",
            (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
     Mutant("a merge keeps the first upper end", "measure_core.py",
-           "*max(last._upper, piece._upper)",
-           "*last._upper",
+           "_between(last._lower, max(last._upper, piece._upper))",
+           "_between(last._lower, last._upper)",
            (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
+    Mutant("an open lower key read as closed", "measure_core.py",
+           "return self.lo, not self.lo_closed",
+           "return self.lo, False",
+           (MEASURE + "test_a_raw_interval_contains_the_points_its_definition_holds"
+                      "[False-True]",)),
+    Mutant("the first complement gap opening after -inf", "measure_core.py",
+           "uppers = [(NEG_INF, False)]",
+           "uppers = [(NEG_INF, True)]",
+           (MEASURE + "test_set_algebra_follows_pointwise_membership",)),
+    Mutant("a float point accepted", "measure_core.py",
+           "if isinstance(point, (bool, float)):",
+           "if isinstance(point, bool):",
+           (MEASURE + "test_from_mass_pairs_refuses_a_bool_point[pairs3]",)),
     Mutant("+1/n and -1/n suffixes swapped", "convergence_lab.py",
            """finite, "decreasing", "", "+1/n"),
     "approach_below": _SequenceKind(
@@ -218,6 +231,16 @@ MUTANTS = (
            "math.floor(x.value) if closed else math.ceil(x.value) - 1",
            "math.floor(x.value)",
            (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
+    Mutant("_member_mass reads the upper key as open", "convergence_lab.py",
+           "through(*iv._upper)",
+           "through(iv.hi, False)",
+           (CONVERGENCE + "test_builtin_closed_form_masses_match_the_members",)),
+    Mutant("integral_limit skips the two-member rule", "convergence_lab.py",
+           'scan = _limit_scan(horizon, fam)\n    report = partial(LimitReport, order="testfn"',
+           'scan = _scan(horizon, fam)\n    report = partial(LimitReport, order="testfn"',
+           (CONVERGENCE + "test_a_one_member_table_is_too_short_for_a_limit_but_not_for_tightness",
+            CLI + "test_bad_json_input_exits_with_one_error_line"
+                  "[testfn-family-too-short-to-scan]")),
     Mutant("dirac_n's cdf steps one past n", "families.py",
            "Fraction(j >= n)",
            "Fraction(j > n)",

@@ -1040,6 +1040,9 @@ SETS_FILE = ("converge", "limit", "--family", "mu", "--sets", "@{path}", "--orde
         (json.dumps({"sets": []}), SETS_FILE, "explicit set list needs at least one set"),
         (json.dumps({"measures": [{"atoms": HALVES}]}),
          ("converge", "weaklimit", "--family", "@{path}"), "explicit family is too short to scan"),
+        (json.dumps({"measures": [{"atoms": HALVES}]}),
+         ("converge", "testfn", "--family", "@{path}", "--fn", "atan"),
+         "explicit family is too short to scan"),
         (
             None,
             ("measure", "additivity", "--family", "mu", "--set-a", "I(n)", "--set-b", "I=0"),
@@ -1070,6 +1073,7 @@ SETS_FILE = ("converge", "limit", "--family", "mu", "--sets", "@{path}", "--orde
         "family-wrapper-empty",
         "sets-wrapper-empty",
         "family-too-short-to-scan",
+        "testfn-family-too-short-to-scan",
         "set-a-a-family",
     ],
 )

@@ -654,6 +654,14 @@ def test_a_table_clips_the_scan_to_its_members(monkeypatch, scan):
     assert sorted(set(requested)) == [1, 2, 3, 4, 5, 6]
 
 
+def test_a_one_member_table_is_too_short_for_a_limit_but_not_for_tightness():
+    fam = table_family([lambda_measure()])
+    for scan in ("weak_limit_identify", "integral_limit"):
+        with pytest.raises(InconclusiveError, match="^explicit family is too short to scan$"):
+            SCANS[scan](fam, 64)
+    assert tightness_probe(fam, HALF, 64).tight is True
+
+
 # --- order (b) against a brute-force oracle ---
 
 
